@@ -6,7 +6,8 @@ The exit code of ``verify`` (and of the cross-checked table commands) is 0
 exactly when every executed check passed.
 
 Verification bounds are desk-scale by default; the RUN_SCALE environment
-variable (a positive integer) multiplies them for longer runs.
+variable (a positive integer; anything else exits 2) multiplies them for
+longer runs.
 """
 
 from __future__ import annotations
@@ -23,15 +24,25 @@ from .weyl import generator_element, generators, verify_relations
 DESK_LIMITS = {"relations_m": 5, "node_n": 15, "kernel_n": 15, "series_order": 64}
 
 
-def _limit(name: str) -> int:
-    scale = 1
+def _run_scale() -> int:
+    """The RUN_SCALE multiplier: 1 when unset, else a positive integer.
+
+    Raises ValueError for any other value, so a typo is not run at scale 1.
+    """
     raw = os.environ.get("RUN_SCALE")
-    if raw:
-        try:
-            scale = max(1, int(raw))
-        except ValueError:
-            scale = 1
-    return DESK_LIMITS[name] * scale
+    if not raw:
+        return 1
+    try:
+        scale = int(raw)
+    except ValueError:
+        scale = 0
+    if scale < 1:
+        raise ValueError(f"RUN_SCALE must be a positive integer, got {raw!r}")
+    return scale
+
+
+def _limit(name: str) -> int:
+    return DESK_LIMITS[name] * _run_scale()
 
 
 def _emit(text: str):
@@ -333,6 +344,9 @@ def verify_kernel_report(n_max: int) -> dict:
 
 
 def run_verify(target: str, m: int, n_max: int | None, order: int, fmt: str) -> int:
+    if fmt not in ("json", "plain"):
+        print(f"error: invalid format {fmt!r}", file=sys.stderr)
+        return 2
     reports = []
     if target in ("relations", "all"):
         if target == "all":
@@ -375,15 +389,12 @@ def run_verify(target: str, m: int, n_max: int | None, order: int, fmt: str) -> 
     status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
     if fmt == "json":
         _emit_json({"name": f"verify-{target}", "status": status, "reports": reports})
-    elif fmt == "plain":
+    else:
         lines = []
         for r in reports:
             lines.append(f"{r['status'].upper()}: {r['name']} {json.dumps(r.get('parameters', {}))}")
         lines.append(f"overall: {status.upper()}")
         _emit("\n".join(lines))
-    else:
-        print(f"error: invalid format {fmt!r}", file=sys.stderr)
-        return 2
     return 0 if status == "pass" else 1
 
 
@@ -431,6 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _run_scale()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "betti":
         return run_betti(args.n_max, args.format)
     if args.command == "series":

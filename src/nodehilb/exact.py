@@ -1,8 +1,10 @@
 """Exact rational substrate: sparse polynomials over Q and exact linear algebra.
 
-All coefficients are :class:`fractions.Fraction` (arbitrary precision, always
-stored reduced with positive denominator), so every computation in this
-package is exact; nothing is ever rounded.
+Polynomial coefficients are :class:`fractions.Fraction` (arbitrary precision,
+always stored reduced with positive denominator).  Linear algebra computes
+on Python ``int`` where the values are integral and reads results out as
+``Fraction`` where a division happens, so every computation in this package
+is exact; nothing is ever rounded.
 
 Polynomials live in Q[x1..xm, y1..ym].  A monomial is a flat exponent tuple
 of length ``2m`` (x-exponents first, then y-exponents), and carries the
@@ -15,14 +17,18 @@ is graded lexicographic with x1 > x2 > ... > xm > y1 > ... > ym; it is used
 for canonical printing and for pivot selection in coset reductions, so all
 output is deterministic.
 
-Linear algebra (row reduction, kernels, span membership) is plain Gaussian
-elimination over Fraction.
+Linear algebra (row reduction, kernels, span membership) runs through one
+sparse elimination core on integer rows ``{column: int}``: rational rows are
+scaled to integers first, rows are combined fraction-free as ``a*r - b*p``
+and divided by the gcd of their entries (Bareiss, Math. Comp. 22, 1968), and
+only the read-out of the reduced form divides by the pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -291,58 +297,145 @@ class RatMatrix:
         return kernel_basis(self)
 
     def rank(self) -> int:
-        return len(rref([list(r) for r in self.rows])[1])
+        return len(rref(self)[1])
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
+def _int_row(items) -> dict:
+    """One row as ``{column: int}`` whose entries have gcd 1.
+
+    Rational entries are scaled by the lcm of their denominators and the gcd
+    of the entries is divided out; scaling a row changes neither the row
+    space nor the reduced form, so nothing is lost.
+    """
+    row = {}
+    for c, v in items:
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        if v:
+            row[c] = v
+    den = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def _cancel(row: dict, piv: dict, col: int) -> dict:
+    """``a*row - b*piv`` with the entry at ``col`` cancelled, made primitive.
+
+    Fraction-free: a and b are the two entries at ``col`` over their gcd
+    (Bareiss, Math. Comp. 22, 1968), so all arithmetic stays in int.
+    """
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+    for c, v in piv.items():
+        w = out.get(c, 0) - b * v
+        if w:
+            out[c] = w
+        else:
+            del out[c]
+    return _primitive(out)
+
+
+def _echelon(rows: list[dict], ncols: int | None) -> dict[int, dict]:
+    """Forward elimination: pivot column -> primitive row starting there.
+
+    Stops as soon as every one of ``ncols`` columns has a pivot, since the
+    remaining rows can only reduce to zero.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
                 break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
+            row = _cancel(row, piv, col)
+        if len(pivots) == ncols:
             break
-    return rows, pivots
+    return pivots
 
 
-def kernel_basis(mat) -> list[tuple[Fraction, ...]]:
+def _reduce(pivots: dict[int, dict]) -> list[tuple[int, dict]]:
+    """Back-substitution to the reduced form, in increasing pivot order.
+
+    Each row is cleared at every later pivot column; the reduced row is
+    then ``row / row[col]``.
+    """
+    done: dict[int, dict] = {}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for c in [c for c in row if c in done]:
+            row = _cancel(row, done[c], c)
+        done[col] = row
+    return sorted(done.items())
+
+
+def _normalise(mat, ncols: int | None) -> tuple[list[dict], int | None, bool]:
+    """Integer rows, column count and whether the input was dense."""
+    if isinstance(mat, RatMatrix):
+        return [_int_row(enumerate(r)) for r in mat.rows], mat.ncols, True
+    if not mat:
+        return [], ncols or 0, True
+    if not isinstance(mat[0], dict):
+        if ncols is None:
+            ncols = len(mat[0])
+        return [_int_row(enumerate(r)) for r in mat], ncols, True
+    return [_int_row(r.items()) for r in mat], ncols, False
+
+
+def rref(mat) -> tuple[list, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    ``mat`` is a sequence of rows, each a dense sequence or a sparse
+    ``{column: value}`` dict; the input is not modified.  The reduced rows
+    come back in the same form, one per input row, zero rows last: dense
+    rows as lists of Fraction, sparse rows as dicts of nonzero Fractions.
+    """
+    rows, ncols, dense = _normalise(mat, None)
+    reduced = _reduce(_echelon(rows, ncols))
+    zero_rows = len(rows) - len(reduced)
+    if dense:
+        out = [[Fraction(row.get(c, 0), row[col]) for c in range(ncols)] for col, row in reduced]
+        out += [[Fraction(0)] * ncols for _ in range(zero_rows)]
+    else:
+        out = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in reduced]
+        out += [{} for _ in range(zero_rows)]
+    return out, [col for col, _ in reduced]
+
+
+def kernel_basis(mat, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
     """Exact null-space basis of a matrix; empty list iff injective.
 
-    Accepts a RatMatrix or a list of rows.  One basis vector per free
+    Accepts a RatMatrix or a sequence of rows, dense or sparse as for
+    :func:`rref`; sparse rows need ``ncols``.  One basis vector per free
     column, with a 1 in the free position (deterministic order).
     """
-    if isinstance(mat, RatMatrix):
-        rows, ncols = [list(r) for r in mat.rows], mat.ncols
-    else:
-        rows = [list(map(Fraction, r)) for r in mat]
-        ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    rows, ncols, _ = _normalise(mat, ncols)
+    if ncols is None:
+        raise ValueError("sparse rows need an explicit column count")
+    pivots = _echelon(rows, ncols)
+    if len(pivots) == ncols:
+        return []
+    reduced = _reduce(pivots)
+    zero = Fraction(0)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        for col, row in reduced:
+            v = row.get(fc)
+            if v:
+                vec[col] = Fraction(-v, row[col])
         basis.append(tuple(vec))
     return basis
 

@@ -222,14 +222,15 @@ def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
         if k >= 1:
             targets += [("x2", t) for t in coh_basis(n - 1, k - 1)]
         index = {key: r for r, key in enumerate(targets)}
-        rows = [[Fraction(0)] * len(source) for _ in targets]
+        rows: list[dict] = [{} for _ in targets]
         for col, e in enumerate(source):
             cls = CohClass(n, {e: 1})
             for tag, pb in (("x1", pullback_x1), ("x2", pullback_x2)):
                 for t, v in pb(cls).coeffs.items():
-                    if (tag, t) in index:
-                        rows[index[(tag, t)]][col] += v
-        kernel = kernel_basis(rows) if source else []
+                    r = index.get((tag, t))
+                    if r is not None:
+                        rows[r][col] = rows[r].get(col, 0) + v
+        kernel = kernel_basis(rows, len(source))
         result[k] = [
             CohClass(n, {e: c for e, c in zip(source, vec) if c != 0}) for vec in kernel
         ]

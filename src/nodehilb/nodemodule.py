@@ -69,7 +69,7 @@ class PieceData:
     """Reduction data of one bidegree: monomials, U rows, pivot bookkeeping."""
 
     monomials: tuple
-    u_rows: tuple  # reduced rows spanning U, coordinates in `monomials`
+    u_rows: tuple  # reduced rows spanning U, as sorted (column, coeff) pairs over `monomials`
     pivots: tuple  # pivot column per reduced row
     basis: tuple  # non-pivot monomials = canonical basis of the quotient
 
@@ -77,15 +77,16 @@ class PieceData:
 @lru_cache(maxsize=None)
 def piece_data(n: int, d: int) -> PieceData:
     monos = tuple(piece_monomials(n, d))
-    rows = []
-    for a, b, s in u_generator_exponents(n, d):
-        p = u_generator_poly(a, b, s)
-        rows.append([p.coefficient(e) for e in monos])
+    index = {e: i for i, e in enumerate(monos)}
+    rows = [
+        {index[e]: c for e, c in u_generator_poly(a, b, s).coeffs.items()}
+        for a, b, s in u_generator_exponents(n, d)
+    ]
     red, pivots = rref(rows)
-    red = red[: len(pivots)]
+    u_rows = tuple(tuple(sorted(row.items())) for row in red[: len(pivots)])
     pivot_set = set(pivots)
     basis = tuple(e for i, e in enumerate(monos) if i not in pivot_set)
-    return PieceData(monos, tuple(tuple(r) for r in red), tuple(pivots), basis)
+    return PieceData(monos, u_rows, tuple(pivots), basis)
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,8 @@ def reduce_poly(p: Poly, grade: tuple[int, int] | None = None) -> NodeClass:
         c = coeffs.get(data.monomials[pc], 0)
         if c == 0:
             continue
-        for e, v in zip(data.monomials, row):
-            if v == 0:
-                continue
+        for i, v in row:
+            e = data.monomials[i]
             c2 = coeffs.get(e, 0) - c * v
             if c2 == 0:
                 coeffs.pop(e, None)
@@ -351,7 +351,13 @@ def injectivity_checks(n_max: int) -> list[PieceCheck]:
         for n in range(n_max + 1):
             for j in range(n + 1):
                 d = 2 * j
-                ok = not kernel_basis(operator_matrix(g, n, d))
+                # rows of the matrix: the sparse columns transposed
+                cols = operator_columns(g, n, d)
+                rows: dict = {}
+                for k, col in enumerate(cols):
+                    for i, c in col:
+                        rows.setdefault(i, {})[k] = c
+                ok = not kernel_basis([rows[i] for i in sorted(rows)], len(cols))
                 checks.append(PieceCheck(f"mult-by-{g}-injective", n, d, ok))
     return checks
 
@@ -383,13 +389,14 @@ def generation_checks(n_max: int) -> list[GenerationCheck]:
         fcs = [fundamental_class(n, k) for k in range(n + 1)]
         for K in range(n, n_max + 1):
             data = piece_data(K, 2 * n)
+            index = {e: i for i, e in enumerate(data.basis)}
             rows = []
             for a in range(K - n + 1):
                 b = K - n - a
                 shift = Poly.monomial(M, (a, b, 0, 0))
                 for fc in fcs:
                     v = reduce_poly(shift * fc.rep, (K, 2 * n))
-                    rows.append([v.rep.coefficient(e) for e in data.basis])
+                    rows.append({index[e]: c for e, c in v.rep.coeffs.items()})
             _, pivots = rref(rows)
             checks.append(GenerationCheck(K, n, len(pivots), len(data.basis)))
     return checks

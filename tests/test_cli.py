@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nodehilb
+from nodehilb import cli
 from nodehilb.cli import main
 
 KNOWN_TABLE = "1\n1 2\n1 3 3\n1 4 5 4\n1 5 7 7 5\n1 6 9 10 9 6\n"
@@ -177,6 +178,25 @@ class TestVerify:
         assert code == 2 and "desk scale" in err
         code, _, err = run(capsys, "verify", "node", "--n-max", "16")
         assert code == 2 and "desk scale" in err
+
+    def test_bad_format_rejected_before_the_suite_runs(self, capsys, monkeypatch):
+        def suite_ran(n_max):
+            raise AssertionError("the suite ran before the format was checked")
+
+        monkeypatch.setattr(cli, "verify_node_report", suite_ran)
+        code, _, err = run(capsys, "verify", "node", "--format", "bogus")
+        assert code == 2 and "invalid format" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "0"])
+    def test_invalid_run_scale_rejected_before_work(self, capsys, monkeypatch, raw):
+        def suite_ran(m):
+            raise AssertionError("the suite ran with an invalid RUN_SCALE")
+
+        monkeypatch.setattr(cli, "verify_relations_report", suite_ran)
+        monkeypatch.setenv("RUN_SCALE", raw)
+        code, out, err = run(capsys, "verify", "relations", "--m", "2")
+        assert code == 2 and out == ""
+        assert "RUN_SCALE" in err and repr(raw) in err
 
     def test_run_scale_raises_bounds(self, capsys, monkeypatch):
         monkeypatch.setenv("RUN_SCALE", "2")

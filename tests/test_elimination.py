@@ -1,0 +1,156 @@
+"""The sparse fraction-free elimination core against a dense Fraction oracle.
+
+``dense_rref`` is the textbook Gaussian elimination over Fraction that the
+package used before its integer core; it shares no code with
+``nodehilb.exact``.  The reduced row echelon form and the free-column
+normalised kernel basis of a matrix are unique, so both routes must agree
+exactly on every input, dense or sparse.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nodehilb.exact import RatMatrix, kernel_basis, rref
+from nodehilb.nodemodule import piece_data, piece_monomials, u_generator_exponents, u_generator_poly
+
+
+def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
+    red, pivots = dense_rref([list(r) for r in rows])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def sparse(rows) -> list[dict]:
+    return [{c: v for c, v in enumerate(row) if v != 0} for row in rows]
+
+
+def random_matrix(rng: random.Random, kind: str) -> list[list[Fraction]]:
+    nrows, ncols = rng.randrange(0, 8), rng.randrange(1, 8)
+    if kind == "int":
+        rows = [[Fraction(rng.randrange(-5, 6)) for _ in range(ncols)] for _ in range(nrows)]
+    elif kind == "rational":
+        rows = [
+            [Fraction(rng.randrange(-5, 6), rng.randrange(1, 7)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+    elif kind == "deficient":
+        # a product through a thin middle dimension has rank <= inner
+        inner = rng.randrange(0, 3)
+        left = [[rng.randrange(-3, 4) for _ in range(inner)] for _ in range(nrows)]
+        right = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(ncols)] for _ in range(inner)]
+        rows = [
+            [sum((left[i][k] * right[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:  # "pullback": wide, very sparse 0/+-1, like the pullback kernel matrices
+        nrows, ncols = rng.randrange(1, 25), rng.randrange(10, 60)
+        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        for j in range(ncols):
+            for _ in range(rng.randrange(0, 3)):
+                rows[rng.randrange(nrows)][j] = Fraction(rng.choice((-1, 1)))
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(len(rows))] = [Fraction(0)] * ncols
+    if rows and rng.random() < 0.3:
+        zero_col = rng.randrange(ncols)
+        for row in rows:
+            row[zero_col] = Fraction(0)
+    return rows
+
+
+MATRICES = [
+    random_matrix(rng, kind)
+    for rng in [random.Random(20261018)]
+    for _ in range(150)
+    for kind in ("int", "rational", "deficient", "pullback")
+] + [[], [[Fraction(0)] * 4], [[Fraction(0)] * 3 for _ in range(3)]]
+
+
+def test_enough_and_varied_matrices():
+    assert len(MATRICES) >= 500
+    assert any(not m for m in MATRICES)
+    assert any(v.denominator != 1 for m in MATRICES for row in m for v in row)
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_rref_and_kernel_match_dense_oracle(chunk):
+    for rows in MATRICES[chunk::5]:
+        ncols = len(rows[0]) if rows else 0
+        want_rows, want_pivots = dense_rref([list(r) for r in rows])
+        want_kernel = dense_kernel(rows, ncols)
+
+        got_rows, got_pivots = rref([list(r) for r in rows])
+        assert (got_rows, got_pivots) == (want_rows, want_pivots)
+        assert all(type(v) is Fraction for row in got_rows for v in row)
+        assert kernel_basis([list(r) for r in rows]) == want_kernel
+        if rows:
+            assert kernel_basis(RatMatrix.from_rows(rows)) == want_kernel
+
+        got_rows, got_pivots = rref(sparse(rows))
+        assert (got_rows, got_pivots) == (sparse(want_rows), want_pivots)
+        assert kernel_basis(sparse(rows), ncols) == want_kernel
+
+
+def test_input_rows_are_not_modified():
+    rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
+    rref(rows)
+    assert rows == [[2, 4], [1, 3]]
+
+
+def test_sparse_kernel_needs_column_count():
+    with pytest.raises(ValueError):
+        kernel_basis([{0: 1}])
+    assert kernel_basis([], 2) == [(1, 0), (0, 1)]
+
+
+def test_piece_data_matches_dense_oracle():
+    for n in range(13):
+        for d in range(0, 2 * n + 1, 2):
+            monos = tuple(piece_monomials(n, d))
+            gens = [u_generator_poly(a, b, s) for a, b, s in u_generator_exponents(n, d)]
+            rows = [[p.coefficient(e) for e in monos] for p in gens]
+            red, pivots = dense_rref(rows)
+            pivot_set = set(pivots)
+            data = piece_data(n, d)
+            assert data.monomials == monos
+            assert data.pivots == tuple(pivots)
+            assert data.u_rows == tuple(
+                tuple((i, v) for i, v in enumerate(row) if v != 0) for row in red[: len(pivots)]
+            )
+            assert data.basis == tuple(e for i, e in enumerate(monos) if i not in pivot_set)
