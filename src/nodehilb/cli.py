@@ -23,6 +23,16 @@ from .weyl import generator_element, generators, verify_relations
 
 DESK_LIMITS = {"relations_m": 5, "node_n": 15, "kernel_n": 15, "series_order": 64}
 
+# the --format values each subcommand accepts; main rejects any other first
+FORMATS = {
+    "betti": ("plain", "csv", "json"),
+    "series": ("plain", "csv", "json"),
+    "components": ("plain", "json"),
+    "kernel": ("plain", "json"),
+    "paving": ("plain", "json"),
+    "verify": ("plain", "json"),
+}
+
 
 def _run_scale() -> int:
     """The RUN_SCALE multiplier: 1 when unset, else a positive integer.
@@ -72,7 +82,7 @@ def run_betti(n_max: int, fmt: str) -> int:
         _emit("\n".join(" ".join(str(v) for v in row) for row in rows))
     elif fmt == "csv":
         _emit("\n".join(",".join([str(n)] + [str(v) for v in row]) for n, row in enumerate(rows)))
-    elif fmt == "json":
+    else:
         _emit_json(
             {
                 "name": "betti",
@@ -83,9 +93,6 @@ def run_betti(n_max: int, fmt: str) -> int:
                 ],
             }
         )
-    else:
-        print(f"error: invalid format {fmt!r}", file=sys.stderr)
-        return 2
     return 0 if ok else 1
 
 
@@ -111,11 +118,8 @@ def run_series(which: str, order: int, fmt: str) -> int:
         _emit_json({"order": order, "rows": [{"n": n, "coeffs": row} for n, row in enumerate(rows)]})
     elif fmt == "plain":
         _emit("\n".join(" ".join(row) for row in rows))
-    elif fmt == "csv":
-        _emit("\n".join(",".join([str(n)] + row) for n, row in enumerate(rows)))
     else:
-        print(f"error: invalid format {fmt!r}", file=sys.stderr)
-        return 2
+        _emit("\n".join(",".join([str(n)] + row) for n, row in enumerate(rows)))
     return 0
 
 
@@ -133,7 +137,7 @@ def run_components(n: int, m: int, fmt: str) -> int:
         obj["intersections"] = [[k, k + 1] for k in range(n)]
     if fmt == "json":
         _emit_json(obj)
-    elif fmt == "plain":
+    else:
         lines = [f"components: {count}"]
         if m == 2:
             lines.append(" ".join(f"M({n},{k})" for k in range(n + 1)))
@@ -144,9 +148,6 @@ def run_components(n: int, m: int, fmt: str) -> int:
             else:
                 lines.append("intersections: none")
         _emit("\n".join(lines))
-    else:
-        print(f"error: invalid format {fmt!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -171,16 +172,13 @@ def run_kernel(n: int, fmt: str) -> int:
     ]
     if fmt == "json":
         _emit_json({"name": "kernel", "parameters": {"n": n}, "components": comps})
-    elif fmt == "plain":
+    else:
         _emit(
             "\n".join(
                 f"k={c['k']}: " + ("; ".join(c["kernel"]) if c["kernel"] else "0")
                 for c in comps
             )
         )
-    else:
-        print(f"error: invalid format {fmt!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -204,13 +202,10 @@ def run_paving(n: int, fmt: str) -> int:
                 "census": census,
             }
         )
-    elif fmt == "plain":
+    else:
         lines = [f"a={c.a} b={c.b} c={c.c} d={c.d} dim={c.dim}" for c in cells]
         lines.append("census: " + " ".join(census))
         _emit("\n".join(lines))
-    else:
-        print(f"error: invalid format {fmt!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -343,49 +338,32 @@ def verify_kernel_report(n_max: int) -> dict:
     }
 
 
-def run_verify(target: str, m: int, n_max: int | None, order: int, fmt: str) -> int:
-    if fmt not in ("json", "plain"):
-        print(f"error: invalid format {fmt!r}", file=sys.stderr)
+def run_verify(target: str, m: int | None, n_max: int | None, order: int, fmt: str) -> int:
+    if target == "all" and m is not None:
+        print("error: --m does not apply to verify all, which checks m = 1..5", file=sys.stderr)
         return 2
-    reports = []
-    if target in ("relations", "all"):
-        if target == "all":
-            for mm in range(1, 6):
-                reports.append(verify_relations_report(mm))
-        else:
-            if not 1 <= m <= _limit("relations_m"):
-                print(
-                    f"error: relations bound m={m} outside desk scale (1..{_limit('relations_m')})",
-                    file=sys.stderr,
-                )
-                return 2
-            reports.append(verify_relations_report(m))
+    node_n, kernel_n = (10, 8) if n_max is None else (n_max, n_max)
+    # (bound label, bound, lowest bound, desk limit, report); every bound is
+    # checked before any suite runs
+    suites = []
+    if target == "relations":
+        m = 2 if m is None else m
+        suites.append(("relations bound m=", m, 1, "relations_m", verify_relations_report))
     if target in ("node", "all"):
-        bound = 10 if n_max is None else n_max
-        if not 0 <= bound <= _limit("node_n"):
-            print(
-                f"error: node bound {bound} outside desk scale (0..{_limit('node_n')})",
-                file=sys.stderr,
-            )
-            return 2
-        reports.append(verify_node_report(bound))
+        suites.append(("node bound ", node_n, 0, "node_n", verify_node_report))
     if target in ("series", "all"):
-        if not 0 <= order <= _limit("series_order"):
-            print(
-                f"error: series order {order} outside desk scale (0..{_limit('series_order')})",
-                file=sys.stderr,
-            )
-            return 2
-        reports.append(verify_series_report(order))
+        suites.append(("series order ", order, 0, "series_order", verify_series_report))
     if target in ("kernel", "all"):
-        bound = 8 if target == "all" or n_max is None else n_max
-        if not 1 <= bound <= _limit("kernel_n"):
+        suites.append(("kernel bound ", kernel_n, 1, "kernel_n", verify_kernel_report))
+    for label, bound, lowest, limit, _ in suites:
+        if not lowest <= bound <= _limit(limit):
             print(
-                f"error: kernel bound {bound} outside desk scale (1..{_limit('kernel_n')})",
+                f"error: {label}{bound} outside desk scale ({lowest}..{_limit(limit)})",
                 file=sys.stderr,
             )
             return 2
-        reports.append(verify_kernel_report(bound))
+    reports = [verify_relations_report(mm) for mm in range(1, 6)] if target == "all" else []
+    reports += [report(bound) for _, bound, _, _, report in suites]
     status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
     if fmt == "json":
         _emit_json({"name": f"verify-{target}", "status": status, "reports": reports})
@@ -432,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("target", choices=["relations", "node", "series", "kernel", "all"])
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--format", default="json")
@@ -446,6 +424,9 @@ def main(argv=None) -> int:
         _run_scale()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.format not in FORMATS[args.command]:
+        print(f"error: invalid format {args.format!r}", file=sys.stderr)
         return 2
     if args.command == "betti":
         return run_betti(args.n_max, args.format)

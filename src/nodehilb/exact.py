@@ -488,35 +488,3 @@ def span_solve(vectors: Sequence[Poly], target: Poly) -> list[Fraction] | None:
     rhs = [target.coefficient(e) for e in support]
     return solve_columns(columns, rhs)
 
-
-# -- small dense helpers used for operator matrices --------------------------
-
-
-def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("incompatible shapes")
-    if not b:
-        return [[] for _ in a] if a else []
-    bc = len(b[0])
-    return [
-        [sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(bc)]
-        for row in a
-    ]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_is_zero(a) -> bool:
-    return all(v == 0 for row in a for v in row)
-
-
-def mat_is_identity(a) -> bool:
-    return all(
-        v == (1 if i == j else 0) for i, row in enumerate(a) for j, v in enumerate(row)
-    )

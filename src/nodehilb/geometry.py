@@ -242,36 +242,6 @@ def top_zeta_class(n: int, k: int) -> CohClass:
     return CohClass(n, {CohElem(n, k, "zeta", n - k - 1, k - 1): 1})
 
 
-def intersection_restrictions(n: int, k: int) -> dict:
-    """Documented images of the hyperplane classes of the intersection.
-
-    The intersection of components k and k+1 is P^k x P^(n-k-1) with
-    hyperplane classes mu (points leaving on the y-branch) and nu; under
-    the two inclusions they restrict to a - zeta, b - zeta in the ambient
-    component, with the zeta term absent where the component has no
-    exceptional divisor.  Recorded as data; not used in any computation.
-    """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"intersection index {k} out of range for n={n}")
-
-    def difference(comp, i, j):
-        # hyperplane class minus zeta, with nonexistent terms dropped (the
-        # corresponding class of the intersection is zero there anyway)
-        coeffs = {}
-        if _elem_valid(n, comp, "plain", i, j):
-            coeffs[CohElem(n, comp, "plain", i, j)] = Fraction(1)
-        if _elem_valid(n, comp, "zeta", 0, 0):
-            coeffs[CohElem(n, comp, "zeta", 0, 0)] = Fraction(-1)
-        return CohClass(n, coeffs)
-
-    return {
-        "mu_in_left": difference(k, 1, 0),
-        "mu_in_right": difference(k + 1, 1, 0),
-        "nu_in_left": difference(k, 0, 1),
-        "nu_in_right": difference(k + 1, 0, 1),
-    }
-
-
 def mv_dimension_check(n: int) -> dict:
     """Components minus intersections must give the module dimensions, degreewise."""
     if n < 0:

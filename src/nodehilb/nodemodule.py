@@ -11,12 +11,21 @@ schemes of points on the plane curve xy = 0: the (n, d) graded piece of V'
 has the dimension of the degree-d homology of the scheme of n points, and
 the operators x1, x2, dy1, dy2, y1+y2, dx1+dx2 act on it.
 
-Cosets are stored by a canonical representative: within each bidegree the
-span of U is row-reduced against the fixed monomial order, and the
-representative is the unique coset member with zero coefficient on every
-pivot monomial.  This makes reduction linear and idempotent and gives each
-graded piece the explicit basis of non-pivot monomials, from which all
-operator matrices, dimension tables and rank checks are computed exactly.
+Cosets are stored by a canonical representative.  In the graded lex order
+the spanning element above has leading monomial x1^(a+1) x2^b y1^s; these
+are pairwise distinct, so the spanning elements of each piece are a
+Groebner basis of it (Cox, Little, O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2).  The pivot monomials are those with x1-exponent >= 1
+and y2-exponent 0, the representative is the unique coset member with no
+pivot monomial in its support, and as x1^A - x2^A is divisible by x1 - x2,
+
+    x1^A x2^B y1^C  =  x2^(A+B) y1^C
+        + sum_{i=1..C} C(C,i) (x2^(A+B) - x1^A x2^B) y1^(C-i) y2^i   (mod U)
+
+rewrites a pivot monomial into non-pivot ones in one step.  Reduction is
+linear and idempotent, and the non-pivot monomials of each graded piece
+are its basis, from which all operator matrices, dimension tables and rank
+checks are computed exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .exact import Poly, kernel_basis, monomial_key, rref
 from .weyl import Generator, generator_element, generators
@@ -64,29 +73,21 @@ def piece_monomials(n: int, d: int) -> list[tuple]:
     return monos
 
 
+def _is_pivot(e: tuple) -> bool:
+    """Whether a monomial is the leading monomial x1^(a+1) x2^b y1^s of U."""
+    return e[0] >= 1 and e[3] == 0
+
+
 @dataclass(frozen=True)
 class PieceData:
-    """Reduction data of one bidegree: monomials, U rows, pivot bookkeeping."""
+    """One bidegree of the quotient."""
 
-    monomials: tuple
-    u_rows: tuple  # reduced rows spanning U, as sorted (column, coeff) pairs over `monomials`
-    pivots: tuple  # pivot column per reduced row
-    basis: tuple  # non-pivot monomials = canonical basis of the quotient
+    basis: tuple  # non-pivot monomials, largest first = canonical basis
 
 
 @lru_cache(maxsize=None)
 def piece_data(n: int, d: int) -> PieceData:
-    monos = tuple(piece_monomials(n, d))
-    index = {e: i for i, e in enumerate(monos)}
-    rows = [
-        {index[e]: c for e, c in u_generator_poly(a, b, s).coeffs.items()}
-        for a, b, s in u_generator_exponents(n, d)
-    ]
-    red, pivots = rref(rows)
-    u_rows = tuple(tuple(sorted(row.items())) for row in red[: len(pivots)])
-    pivot_set = set(pivots)
-    basis = tuple(e for i, e in enumerate(monos) if i not in pivot_set)
-    return PieceData(monos, u_rows, tuple(pivots), basis)
+    return PieceData(tuple(e for e in piece_monomials(n, d) if not _is_pivot(e)))
 
 
 @dataclass(frozen=True)
@@ -124,21 +125,18 @@ def reduce_poly(p: Poly, grade: tuple[int, int] | None = None) -> NodeClass:
         deg = grade
     elif grade is not None and deg != grade:
         raise ValueError(f"polynomial has bidegree {deg}, expected {grade}")
-    n, d = deg
-    data = piece_data(n, d)
-    coeffs = dict(p.coeffs)
-    for row, pc in zip(data.u_rows, data.pivots):
-        c = coeffs.get(data.monomials[pc], 0)
-        if c == 0:
-            continue
-        for i, v in row:
-            e = data.monomials[i]
-            c2 = coeffs.get(e, 0) - c * v
-            if c2 == 0:
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = c2
-    return NodeClass(Poly(M, coeffs), n, d)
+    coeffs: dict = {}
+    for e, c in p.coeffs.items():
+        terms = [(e, c)]
+        if _is_pivot(e):
+            a, b, s, _ = e
+            terms = [((0, a + b, s, 0), c)]
+            for i in range(1, s + 1):
+                k = c * comb(s, i)
+                terms += [((0, a + b, s - i, i), k), ((a, b, s - i, i), -k)]
+        for f, v in terms:
+            coeffs[f] = coeffs.get(f, 0) + v
+    return NodeClass(Poly(M, coeffs), *deg)
 
 
 def dim_piece(n: int, d: int) -> int:
@@ -160,7 +158,12 @@ def dim_submodule(n: int, d: int) -> int:
     """dim of the (n, d) piece of U (exact rank of its spanning set)."""
     if n < 0 or d < 0 or d % 2 != 0:
         return 0
-    return len(piece_data(n, d).pivots)
+    index = {e: i for i, e in enumerate(piece_monomials(n, d))}
+    rows = [
+        {index[e]: c for e, c in u_generator_poly(a, b, s).coeffs.items()}
+        for a, b, s in u_generator_exponents(n, d)
+    ]
+    return len(rref(rows)[1])
 
 
 def betti_table(n_max: int) -> list[list[int]]:
@@ -229,19 +232,6 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
             tuple(sorted((tgt_index[f], c) for f, c in image.rep.coeffs.items()))
         )
     return tuple(cols)
-
-
-def operator_matrix(g: Generator, n: int, d: int) -> list[list[Fraction]]:
-    """Dense matrix of a generator on the (n, d) piece (rows = target basis)."""
-    cols = operator_columns(g, n, d)
-    dn, dd = g.bidegree
-    n2, d2 = n + dn, d + dd
-    rows = dim_piece(n2, d2) if _piece_in_range(n2, d2) else 0
-    out = [[Fraction(0)] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, c in col:
-            out[i][j] = c
-    return out
 
 
 def _compose_columns(g2: Generator, g1: Generator, n: int, d: int) -> list[dict]:

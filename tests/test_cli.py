@@ -1,5 +1,6 @@
 """Command line: golden outputs, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nodehilb
-from nodehilb import cli
+from nodehilb import cli, geometry, nodemodule, series
 from nodehilb.cli import main
 
 KNOWN_TABLE = "1\n1 2\n1 3 3\n1 4 5 4\n1 5 7 7 5\n1 6 9 10 9 6\n"
@@ -227,6 +228,87 @@ class TestArgumentRejection:
         assert code == 2 and "invalid format" in err
         code, _, err = run(capsys, "verify", "relations", "--format", "csv")
         assert code == 2 and "invalid format" in err
+
+
+class TestFormatCheckedFirst:
+    # one compute function per subcommand, which must not run on a bad format
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            (nodemodule, "betti_table", ["betti", "--n-max", "2"]),
+            (series, "mv_pv", ["series", "--which", "mv", "--order", "64"]),
+            (geometry, "component_count", ["components", "--n", "2"]),
+            (geometry, "kernel_intersection", ["kernel", "--n", "2"]),
+            (geometry, "paving_cells", ["paving", "--n", "2"]),
+            (cli, "verify_node_report", ["verify", "node"]),
+        ],
+    )
+    def test_bad_format_rejected_before_work(self, capsys, monkeypatch, module, name, argv):
+        def computed(*args):
+            raise AssertionError(f"{name} ran before the format was checked")
+
+        monkeypatch.setattr(module, name, computed)
+        code, out, err = run(capsys, *argv, "--format", "bogus")
+        assert code == 2 and out == ""
+        assert "error: invalid format 'bogus'" in err
+
+
+class TestVerifyAll:
+    REPORTS = (
+        "verify_relations_report",
+        "verify_node_report",
+        "verify_series_report",
+        "verify_kernel_report",
+    )
+
+    @pytest.fixture
+    def no_suite_runs(self, monkeypatch):
+        def suite_ran(bound):
+            raise AssertionError("a suite ran before every bound was checked")
+
+        monkeypatch.delenv("RUN_SCALE", raising=False)
+        for name in self.REPORTS:
+            monkeypatch.setattr(cli, name, suite_ran)
+
+    def test_parent_output_pinned(self, capsys, monkeypatch):
+        monkeypatch.delenv("RUN_SCALE", raising=False)
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f38d2d70fa8e7f2af15e94cd07806da903ce7fde3672cdc870b53aaba80e6ee8"
+        )
+
+    def test_m_rejected(self, capsys, no_suite_runs):
+        code, out, err = run(capsys, "verify", "all", "--m", "3")
+        assert code == 2 and out == ""
+        assert "--m" in err
+
+    @pytest.mark.parametrize(
+        "flags, where",
+        [
+            (["--n-max", "99"], "node bound 99"),
+            (["--n-max", "0"], "kernel bound 0"),
+            (["--order", "99"], "series order 99"),
+        ],
+    )
+    def test_every_bound_checked_before_any_suite(self, capsys, no_suite_runs, flags, where):
+        code, out, err = run(capsys, "verify", "all", *flags)
+        assert code == 2 and out == ""
+        assert where in err and "desk scale" in err
+
+    def test_n_max_reaches_the_kernel_suite(self, capsys, monkeypatch):
+        monkeypatch.delenv("RUN_SCALE", raising=False)
+        code, out, _ = run(capsys, "verify", "all", "--n-max", "3", "--order", "4")
+        assert code == 0
+        params = {r["name"]: r["parameters"] for r in json.loads(out)["reports"]}
+        assert params["node-module"] == {"n_max": 3}
+        assert params["pullback-kernels"] == {"n_max": 3}
+        assert params["series-identities"] == {"order": 4}
+
+    def test_relations_alone_defaults_to_two_branches(self, capsys):
+        code, out, _ = run(capsys, "verify", "relations")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["parameters"] == {"m": 2}
 
 
 class TestDeterminism:

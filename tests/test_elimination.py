@@ -4,7 +4,9 @@
 package used before its integer core; it shares no code with
 ``nodehilb.exact``.  The reduced row echelon form and the free-column
 normalised kernel basis of a matrix are unique, so both routes must agree
-exactly on every input, dense or sparse.
+exactly on every input, dense or sparse.  The same oracle row-reduces the
+spanning set of the node's submodule U, against which the closed-form pivot
+rule and normal form of ``nodehilb.nodemodule`` are checked.
 """
 
 import random
@@ -12,8 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from nodehilb.exact import RatMatrix, kernel_basis, rref
-from nodehilb.nodemodule import piece_data, piece_monomials, u_generator_exponents, u_generator_poly
+from nodehilb.exact import Poly, RatMatrix, kernel_basis, rref
+from nodehilb.nodemodule import (
+    _is_pivot,
+    piece_data,
+    piece_monomials,
+    reduce_poly,
+    u_generator_exponents,
+    u_generator_poly,
+)
 
 
 def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -139,18 +148,37 @@ def test_sparse_kernel_needs_column_count():
     assert kernel_basis([], 2) == [(1, 0), (0, 1)]
 
 
+def oracle_reduce(coeffs: dict, monos: tuple, red: list, pivots: list) -> dict:
+    """Walk the reduced rows of U: clear each pivot monomial in turn."""
+    coeffs = dict(coeffs)
+    for row, pc in zip(red, pivots):
+        c = coeffs.get(monos[pc], 0)
+        if c == 0:
+            continue
+        for e, v in zip(monos, row):
+            if v == 0:
+                continue
+            c2 = coeffs.get(e, 0) - c * v
+            if c2 == 0:
+                coeffs.pop(e, None)
+            else:
+                coeffs[e] = c2
+    return coeffs
+
+
 def test_piece_data_matches_dense_oracle():
+    # the closed-form pivot rule and normal form against row-reduced U
     for n in range(13):
         for d in range(0, 2 * n + 1, 2):
             monos = tuple(piece_monomials(n, d))
             gens = [u_generator_poly(a, b, s) for a, b, s in u_generator_exponents(n, d)]
             rows = [[p.coefficient(e) for e in monos] for p in gens]
             red, pivots = dense_rref(rows)
+            assert [monos[i] for i in pivots] == [e for e in monos if _is_pivot(e)]
             pivot_set = set(pivots)
-            data = piece_data(n, d)
-            assert data.monomials == monos
-            assert data.pivots == tuple(pivots)
-            assert data.u_rows == tuple(
-                tuple((i, v) for i, v in enumerate(row) if v != 0) for row in red[: len(pivots)]
+            assert piece_data(n, d).basis == tuple(
+                e for i, e in enumerate(monos) if i not in pivot_set
             )
-            assert data.basis == tuple(e for i, e in enumerate(monos) if i not in pivot_set)
+            for e in monos:
+                want = oracle_reduce({e: Fraction(1)}, monos, red, pivots)
+                assert reduce_poly(Poly.monomial(2, e)).rep.coeffs == want, (n, d, e)

@@ -10,10 +10,6 @@ from nodehilb.exact import (
     RatMatrix,
     frac_str,
     kernel_basis,
-    mat_identity,
-    mat_is_identity,
-    mat_is_zero,
-    mat_mul,
     monomial_bidegree,
     rref,
     solve_columns,
@@ -205,13 +201,6 @@ class TestLinearAlgebra:
 
     def test_solve_columns_inconsistent(self):
         assert solve_columns([[1, 0], [0, 0]], [0, 1]) is None
-
-    def test_mat_helpers(self):
-        a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-        inv = [[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(1)]]
-        assert mat_is_identity(mat_mul(a, inv))
-        assert mat_is_zero([[Fraction(0)]])
-        assert mat_identity(2) == [[1, 0], [0, 1]]
 
 
 class TestRendering:

@@ -7,6 +7,8 @@ the fault shows.
 
 import json
 
+import pytest
+
 from nodehilb import geometry, nodemodule
 from nodehilb.cli import main
 from nodehilb.exact import Poly
@@ -22,6 +24,21 @@ def failures_of(report, check):
     (entry,) = [c for c in report["checks"] if c["check"] == check]
     assert entry["status"] == "fail"
     return entry["failures"]
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the piece and column caches around a test that breaks the normal form.
+
+    Otherwise columns cached by earlier tests would hide the fault, and the
+    broken columns would leak into later tests.
+    """
+    caches = (nodemodule.piece_data, nodemodule.operator_columns)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
 
 
 def test_kernel_suite_catches_equal_pullbacks(capsys, monkeypatch):
@@ -66,3 +83,37 @@ def test_node_suite_catches_a_missing_fundamental_class(capsys, monkeypatch):
     failures = failures_of(report, "generation-by-fundamental-classes")
     assert {"points": 2, "row": 2, "rank": 2, "dim": 3} in failures
     assert all(f["row"] == 2 and f["rank"] < f["dim"] for f in failures)
+
+
+def test_node_suite_catches_a_normal_form_without_its_sum(capsys, monkeypatch, fresh_caches):
+    # x1^A x2^B y1^C rewritten to x2^(A+B) y1^C alone: no longer a coset member
+    def truncated(p, grade=None):
+        coeffs: dict = {}
+        for e, c in p.coeffs.items():
+            if nodemodule._is_pivot(e):
+                a, b, s, _ = e
+                e = (0, a + b, s, 0)
+            coeffs[e] = coeffs.get(e, 0) + c
+        return nodemodule.NodeClass(Poly(2, coeffs), *(p.bidegree() or grade))
+
+    monkeypatch.setattr(nodemodule, "reduce_poly", truncated)
+    code, report = verify(capsys, "node", "--n-max", "6")
+    assert code == 1
+    failures = failures_of(report, "relation-matrices")
+    assert {"name": "[x1,mu+]=0", "n": 0, "d": 0} in failures
+    assert all(0 <= f["n"] <= 6 and 0 <= f["d"] <= 2 * f["n"] for f in failures)
+
+
+def test_series_suite_catches_a_widened_pivot_rule(capsys, monkeypatch, fresh_caches):
+    # y2-exponent <= 1 also counted as pivot: the enumerated basis shrinks,
+    # while the rank of U's spanning rows does not
+    monkeypatch.setattr(nodemodule, "_is_pivot", lambda e: e[0] >= 1 and e[3] <= 1)
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 1 and report["status"] == "fail"
+    (identity,) = [c for c in report["checks"] if c["check"] == "module-series-identity"]
+    (enumerated,) = [
+        c for c in identity["detail"] if c["check"].startswith("series-match-enumerated-dimensions")
+    ]
+    assert enumerated["status"] == "fail"
+    assert ["quotient", 2, 1, "3", 2] in enumerated["mismatches"]
+    assert all(m[0] == "quotient" for m in enumerated["mismatches"])

@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from nodehilb.exact import mat_mul
 from nodehilb.geometry import (
     CohClass,
     CohElem,
     coh_basis,
     component_count,
-    intersection_restrictions,
     kernel_intersection,
     mv_dimension_check,
     paving_cells,
@@ -167,7 +165,13 @@ class TestPullbacks:
                     rows[index[f]][col] = v
             return rows
 
-        via_product = mat_mul(step_matrix(pullback_x1, n + 1), step_matrix(pullback_x2, n + 2))
+        def product(a, b):
+            return [
+                [sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+                for row in a
+            ]
+
+        via_product = product(step_matrix(pullback_x1, n + 1), step_matrix(pullback_x2, n + 2))
         src, tgt = levels[n + 2], levels[n]
         index = {e: i for i, e in enumerate(tgt)}
         direct = [[Fraction(0)] * len(src) for _ in tgt]
@@ -257,19 +261,3 @@ class TestPaving:
         s = paving_pv(15)
         for n in range(16):
             assert paving_census(n) == s.row(n)
-
-
-class TestIntersectionMetadata:
-    def test_no_zeta_on_end_component(self):
-        data = intersection_restrictions(2, 0)
-        left = data["mu_in_left"]  # inside P^2: just the hyperplane class
-        assert left == CohClass(2, {CohElem(2, 0, "plain", 1, 0): 1})
-        right = data["mu_in_right"]
-        assert right == CohClass(
-            2,
-            {CohElem(2, 1, "plain", 1, 0): 1, CohElem(2, 1, "zeta", 0, 0): -1},
-        )
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            intersection_restrictions(2, 2)

@@ -1,17 +1,21 @@
-"""Byte-identical CLI output for the benchmark's golden commands.
+"""The CLI as the benchmark sees it.
 
 Runs every command of the ``node`` and ``kernel`` benchmark workloads
 in-process and compares the exit code and the sha256 of stdout with
-``bench/goldens.json``, the digests the benchmark itself checks.
+``bench/goldens.json``, the digests the benchmark itself checks; and runs
+the benchmark's layer tracer, ``bench/trace_child.py``, on one command.
 """
 
 import hashlib
 import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nodehilb
 from nodehilb.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -29,3 +33,24 @@ def test_golden_command(command, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == GOLDENS[command]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[command]["sha256"]
+
+
+def test_tracer_runs_the_cli_and_reads_the_caches(tmp_path, capsys, monkeypatch):
+    # the tracer wraps functions by name and reads cache_info() of the two
+    # cached layers, so a rename or a lost lru_cache breaks traced runs
+    monkeypatch.delenv("RUN_SCALE", raising=False)
+    span_file = tmp_path / "spans.json"
+    args = ["betti", "--n-max", "3"]
+    package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "trace_child.py"), str(span_file), "--", *args],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    cache = json.loads(span_file.read_text())["cache"]
+    assert {"nodemodule.piece_data", "nodemodule.operator_columns"} <= set(cache)
+    hits, misses, size = cache["nodemodule.piece_data"]
+    assert misses == size > 0

@@ -17,7 +17,7 @@ from nodehilb.nodemodule import (
     generation_checks,
     injectivity_checks,
     no_extension_witness,
-    operator_matrix,
+    operator_columns,
     piece_data,
     piece_monomials,
     reduce_poly,
@@ -269,10 +269,12 @@ class TestOperatorIdentities:
         assert all(c.ok for c in checks)
 
     def test_operator_matrix_shapes(self):
-        mat = operator_matrix(Generator("x", 1), 1, 0)
-        assert len(mat) == dim_piece(2, 0) and len(mat[0]) == dim_piece(1, 0)
-        empty = operator_matrix(Generator("d", 1), 0, 0)
-        assert empty == []
+        # one column per source basis class, rows inside the target basis
+        cols = operator_columns(Generator("x", 1), 1, 0)
+        assert len(cols) == dim_piece(1, 0)
+        assert {i for col in cols for i, _ in col} == set(range(dim_piece(2, 0)))
+        # d1 leaves the range from (0, 0): one empty column
+        assert operator_columns(Generator("d", 1), 0, 0) == ((),)
 
     def test_unit_commutator_on_one_piece(self):
         # [d1, mu+] as honest matrices on the (2, 2) piece
