@@ -338,11 +338,19 @@ def verify_kernel_report(n_max: int) -> dict:
     }
 
 
-def run_verify(target: str, m: int | None, n_max: int | None, order: int, fmt: str) -> int:
-    if target == "all" and m is not None:
-        print("error: --m does not apply to verify all, which checks m = 1..5", file=sys.stderr)
-        return 2
+def run_verify(target: str, m: int | None, n_max: int | None, order: int | None, fmt: str) -> int:
+    # each flag with the targets that read it; any other target rejects it
+    # (verify all checks relations at m = 1..5, so it takes no --m)
+    for flag, value, readers in (
+        ("--m", m, ("relations",)),
+        ("--n-max", n_max, ("node", "kernel", "all")),
+        ("--order", order, ("series", "all")),
+    ):
+        if value is not None and target not in readers:
+            print(f"error: {flag} does not apply to verify {target}", file=sys.stderr)
+            return 2
     node_n, kernel_n = (10, 8) if n_max is None else (n_max, n_max)
+    order = 30 if order is None else order
     # (bound label, bound, lowest bound, desk limit, report); every bound is
     # checked before any suite runs
     suites = []
@@ -412,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["relations", "node", "series", "kernel", "all"])
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--order", type=int, default=30)
+    p.add_argument("--order", type=int, default=None)
     p.add_argument("--format", default="json")
 
     return parser

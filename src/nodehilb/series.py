@@ -2,8 +2,11 @@
 
 Only even homological degrees occur, so a series is stored as a square
 array c[n][j] = coefficient of q^n t^(2j); odd-degree slots do not exist
-rather than being zeros.  All coefficients are exact rationals and ring
-operations respect the truncation order.
+rather than being zeros.  Coefficients are exact: Python ints wherever the
+maths is integral, which is every route below, and Fractions only where a
+division happens.  The one division is in ``expand``, when a denominator's
+constant term is not 1; every denominator built here has constant term 1.
+Ring operations respect the truncation order.
 
 The generating function of the graded dimensions of the node module is
 computed here by three independent routes and compared coefficient by
@@ -12,6 +15,10 @@ coefficient:
   * the closed form (q^2 t^2 - q + 1) / ((1-q)^2 (1-q t^2)^2),
   * the inclusion-exclusion (Mayer-Vietoris) sum over the irreducible
     components of the scheme of n points and their pairwise intersections,
+    whose Poincare polynomials are products of two all-ones polynomials,
+    read off by counting: the coefficient of t^(2j) in
+    (1+..+t^(2(a-1)))(1+..+t^(2(b-1))) is min(j, a-1, b-1, a+b-2-j) + 1
+    for 0 <= j <= a+b-2, and 0 otherwise,
   * the product of the punctual factor 1 + sum_{c>=1} q^c (1 + (c-1) t^2)
     with the smooth-locus factor 1/(1-q t^2)^2.
 
@@ -37,30 +44,30 @@ class Series2:
 
     __slots__ = ("order", "c")
 
-    def __init__(self, order: int, c: list[list[Fraction]] | None = None):
+    def __init__(self, order: int, c: list[list] | None = None):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         self.order = order
         size = order + 1
         if c is None:
-            self.c = [[Fraction(0)] * size for _ in range(size)]
+            self.c = [[0] * size for _ in range(size)]
         else:
             if len(c) != size or any(len(row) != size for row in c):
                 raise ValueError("coefficient array has the wrong shape")
-            self.c = [[Fraction(v) for v in row] for row in c]
+            self.c = [list(row) for row in c]
 
     @classmethod
     def from_poly(cls, poly: Poly2, order: int) -> "Series2":
         s = cls(order)
         for (i, j), v in poly.items():
             if i <= order and j <= order:
-                s.c[i][j] = Fraction(v)
+                s.c[i][j] = v
         return s
 
-    def coefficient(self, n: int, j: int) -> Fraction:
+    def coefficient(self, n: int, j: int):
         return self.c[n][j]
 
-    def row(self, n: int) -> list[Fraction]:
+    def row(self, n: int) -> list:
         """Coefficients of q^n for j = 0..n (degrees beyond 2n are zero here)."""
         return [self.c[n][j] for j in range(n + 1)]
 
@@ -157,35 +164,41 @@ def expand(rf: RationalFunction2, order: int) -> Series2:
 
     Coefficients are produced by the division recurrence, so multiplying the
     result back by the denominator reproduces the numerator up to the order.
+    A constant term other than 1 is divided out of num and den once, up
+    front; the recurrence itself only multiplies and subtracts, so integer
+    inputs with a unit constant term give integer coefficients.
     """
     num = dict(rf.num)
     den = dict(rf.den)
-    c0 = den.get((0, 0), Fraction(0))
+    c0 = den.get((0, 0), 0)
     if c0 == 0:
         raise ValueError("denominator has zero constant term, not a unit in power series")
+    if c0 != 1:
+        num = {k: Fraction(v) / c0 for k, v in num.items()}
+        den = {k: Fraction(v) / c0 for k, v in den.items()}
     tail = [(i, j, v) for (i, j), v in den.items() if (i, j) != (0, 0)]
     out = Series2(order)
     for n in range(order + 1):
         for j in range(order + 1):
-            acc = Fraction(num.get((n, j), 0))
+            acc = num.get((n, j), 0)
             for a, b, v in tail:
                 if a <= n and b <= j:
                     acc -= v * out.c[n - a][j - b]
-            out.c[n][j] = acc / c0
+            out.c[n][j] = acc
     return out
 
 
 def _one_minus_q() -> Poly2:
-    return {(0, 0): Fraction(1), (1, 0): Fraction(-1)}
+    return {(0, 0): 1, (1, 0): -1}
 
 
 def _one_minus_qt2() -> Poly2:
-    return {(0, 0): Fraction(1), (1, 1): Fraction(-1)}
+    return {(0, 0): 1, (1, 1): -1}
 
 
 def closed_form() -> RationalFunction2:
     """(q^2 t^2 - q + 1) / ((1-q)^2 (1-q t^2)^2)."""
-    num = {(2, 1): Fraction(1), (1, 0): Fraction(-1), (0, 0): Fraction(1)}
+    num = {(2, 1): 1, (1, 0): -1, (0, 0): 1}
     den = poly2_mul(
         poly2_mul(_one_minus_q(), _one_minus_q()),
         poly2_mul(_one_minus_qt2(), _one_minus_qt2()),
@@ -200,34 +213,18 @@ def closed_form_pv(order: int) -> Series2:
 # -- route two: inclusion-exclusion over components ---------------------------
 
 
-def _ones(k: int) -> list[Fraction]:
-    """1 + t^2 + ... + t^(2(k-1)) as a coefficient list of length k."""
-    return [Fraction(1)] * k
+def _box_count(a: int, b: int, j: int) -> int:
+    """Coefficient of t^(2j) in (1+..+t^(2(a-1))) (1+..+t^(2(b-1))).
+
+    The number of (u, v) with u + v = j, 0 <= u < a and 0 <= v < b; zero
+    when either factor is empty.
+    """
+    if not 0 <= j <= a + b - 2:
+        return 0
+    return min(j, a - 1, b - 1, a + b - 2 - j) + 1
 
 
-def _conv(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, u in enumerate(p):
-        for j, v in enumerate(q):
-            out[i + j] += u * v
-    return out
-
-
-def _shift(p: list[Fraction], k: int) -> list[Fraction]:
-    return [Fraction(0)] * k + p if p else []
-
-
-def _add_lists(p, q):
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def component_poincare(n: int, k: int) -> list[Fraction]:
+def component_poincare(n: int, k: int) -> list[int]:
     """Poincare polynomial (in t^2) of the component with k points on one branch.
 
     The component is the blow-up of P^(n-k) x P^k along P^(n-k-1) x P^(k-1):
@@ -237,43 +234,37 @@ def component_poincare(n: int, k: int) -> list[Fraction]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"component index {k} out of range for n={n}")
-    exceptional = _shift(_conv(_ones(k), _ones(n - k)), 1)
-    base = _conv(_ones(n - k + 1), _ones(k + 1))
-    out = _add_lists(exceptional, base)
-    return out + [Fraction(0)] * (n + 1 - len(out))
+    return [_box_count(n - k + 1, k + 1, j) + _box_count(k, n - k, j - 1) for j in range(n + 1)]
 
 
-def intersection_poincare(n: int, k: int) -> list[Fraction]:
+def intersection_poincare(n: int, k: int) -> list[int]:
     """Poincare polynomial of the intersection of components k and k+1.
 
     The intersection is P^k x P^(n-k-1); degree 2(n-1).
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"intersection index {k} out of range for n={n}")
-    return _conv(_ones(k + 1), _ones(n - k))
+    return [_box_count(k + 1, n - k, j) for j in range(n)]
 
 
 def mv_pv(order: int) -> Series2:
     """Series assembled row by row from components minus intersections."""
     out = Series2(order)
     for n in range(order + 1):
-        row = [Fraction(0)] * (order + 1)
+        row = out.c[n]
         for k in range(n + 1):
             for j, v in enumerate(component_poincare(n, k)):
-                if j <= order:
-                    row[j] += v
+                row[j] += v
         for k in range(n):
             for j, v in enumerate(intersection_poincare(n, k)):
-                if j <= order:
-                    row[j] -= v
-        out.c[n] = row
+                row[j] -= v
     return out
 
 
 # -- route three: punctual times smooth-locus factor --------------------------
 
 
-def punctual_row(c: int) -> list[Fraction]:
+def punctual_row(c: int) -> list[int]:
     """Poincare polynomial of the punctual locus at the singular point.
 
     The subschemes of length c supported entirely at the node form a chain
@@ -283,8 +274,8 @@ def punctual_row(c: int) -> list[Fraction]:
     if c < 0:
         raise ValueError("length must be >= 0")
     if c == 0:
-        return [Fraction(1)]
-    return [Fraction(1), Fraction(c - 1)]
+        return [1]
+    return [1, c - 1]
 
 
 def paving_pv(order: int) -> Series2:
@@ -296,7 +287,7 @@ def paving_pv(order: int) -> Series2:
                 punctual.c[n][j] = v
     smooth = expand(
         RationalFunction2.make(
-            {(0, 0): Fraction(1)}, poly2_mul(_one_minus_qt2(), _one_minus_qt2())
+            {(0, 0): 1}, poly2_mul(_one_minus_qt2(), _one_minus_qt2())
         ),
         order,
     )
@@ -312,7 +303,7 @@ def ambient_module_pv(order: int) -> Series2:
         poly2_mul(_one_minus_q(), _one_minus_q()),
         poly2_mul(_one_minus_qt2(), _one_minus_qt2()),
     )
-    return expand(RationalFunction2.make({(0, 0): Fraction(1)}, den), order)
+    return expand(RationalFunction2.make({(0, 0): 1}, den), order)
 
 
 def submodule_pv(order: int) -> Series2:
@@ -322,7 +313,7 @@ def submodule_pv(order: int) -> Series2:
     bidegree-(1,0) variables and one bidegree-(1,2) variable.
     """
     den = poly2_mul(poly2_mul(_one_minus_q(), _one_minus_q()), _one_minus_qt2())
-    return expand(RationalFunction2.make({(1, 0): Fraction(1)}, den), order)
+    return expand(RationalFunction2.make({(1, 0): 1}, den), order)
 
 
 def module_pv(order: int) -> Series2:

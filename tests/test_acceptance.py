@@ -41,7 +41,7 @@ def test_02_triple_series_identity():
     elapsed = time.perf_counter() - start
     assert ok_mv, where_mv
     assert ok_paving, where_paving
-    assert elapsed < 5.0
+    assert elapsed < 1.0
     report(2, "closed form = inclusion-exclusion = paving to order 30")
 
 

@@ -253,23 +253,22 @@ class TestFormatCheckedFirst:
         assert "error: invalid format 'bogus'" in err
 
 
-class TestVerifyAll:
-    REPORTS = (
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    def suite_ran(bound):
+        raise AssertionError("a suite ran before every flag and bound was checked")
+
+    monkeypatch.delenv("RUN_SCALE", raising=False)
+    for name in (
         "verify_relations_report",
         "verify_node_report",
         "verify_series_report",
         "verify_kernel_report",
-    )
+    ):
+        monkeypatch.setattr(cli, name, suite_ran)
 
-    @pytest.fixture
-    def no_suite_runs(self, monkeypatch):
-        def suite_ran(bound):
-            raise AssertionError("a suite ran before every bound was checked")
 
-        monkeypatch.delenv("RUN_SCALE", raising=False)
-        for name in self.REPORTS:
-            monkeypatch.setattr(cli, name, suite_ran)
-
+class TestVerifyAll:
     def test_parent_output_pinned(self, capsys, monkeypatch):
         monkeypatch.delenv("RUN_SCALE", raising=False)
         code, out, _ = run(capsys, "verify", "all")
@@ -309,6 +308,33 @@ class TestVerifyAll:
         code, out, _ = run(capsys, "verify", "relations")
         assert code == 0
         assert json.loads(out)["reports"][0]["parameters"] == {"m": 2}
+
+
+class TestVerifyFlagsPerSuite:
+    # a named suite reads only its own flags and rejects the others before any work
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["node", "--n-max", "2", "--m", "7", "--order", "999"], "--m"),
+            (["node", "--n-max", "2", "--order", "4"], "--order"),
+            (["relations", "--m", "1", "--n-max", "99"], "--n-max"),
+            (["relations", "--order", "4"], "--order"),
+            (["series", "--order", "4", "--n-max", "3"], "--n-max"),
+            (["series", "--m", "2"], "--m"),
+            (["kernel", "--n-max", "3", "--order", "4"], "--order"),
+            (["kernel", "--m", "2"], "--m"),
+        ],
+    )
+    def test_foreign_flag_rejected(self, capsys, no_suite_runs, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"{flag} does not apply to verify {argv[0]}" in err
+
+    def test_series_alone_defaults_to_order_thirty(self, capsys, monkeypatch):
+        monkeypatch.delenv("RUN_SCALE", raising=False)
+        code, out, _ = run(capsys, "verify", "series")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["parameters"] == {"order": 30}
 
 
 class TestDeterminism:

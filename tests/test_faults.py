@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from nodehilb import geometry, nodemodule
+from nodehilb import geometry, nodemodule, series
 from nodehilb.cli import main
 from nodehilb.exact import Poly
 from nodehilb.weyl import Generator
@@ -39,6 +39,37 @@ def fresh_caches():
     yield
     for cached in caches:
         cached.cache_clear()
+
+
+def series_check(report, check):
+    (entry,) = [c for c in report["checks"] if c["check"] == check]
+    return entry
+
+
+def test_series_suite_catches_a_sign_flip_in_the_closed_form(capsys, monkeypatch):
+    # numerator q^2 t^2 + q + 1: the q^1 row of the closed form is off by 2
+    real = series.closed_form()
+    flipped = series.RationalFunction2.make(dict(real.num) | {(1, 0): 1}, dict(real.den))
+    monkeypatch.setattr(series, "closed_form", lambda: flipped)
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 1 and report["status"] == "fail"
+    for label in ("mayer-vietoris", "paving"):
+        entry = series_check(report, f"closed-form-equals-{label}")
+        assert entry["status"] == "fail" and entry["first_difference"] == [1, 0]
+
+
+def test_series_suite_catches_a_missing_exceptional_divisor(capsys, monkeypatch):
+    # components as the bare products P^(n-k) x P^k: the first one with an
+    # exceptional divisor is n = 2, k = 1, which loses its t^2 class
+    def product_only(n, k):
+        return [sum(1 for u in range(n - k + 1) if 0 <= j - u <= k) for j in range(n + 1)]
+
+    monkeypatch.setattr(series, "component_poincare", product_only)
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 1 and report["status"] == "fail"
+    failed = [c["check"] for c in report["checks"] if c["status"] == "fail"]
+    assert failed == ["closed-form-equals-mayer-vietoris"]
+    assert series_check(report, "closed-form-equals-mayer-vietoris")["first_difference"] == [2, 1]
 
 
 def test_kernel_suite_catches_equal_pullbacks(capsys, monkeypatch):

@@ -1,9 +1,9 @@
 """The CLI as the benchmark sees it.
 
-Runs every command of the ``node`` and ``kernel`` benchmark workloads
-in-process and compares the exit code and the sha256 of stdout with
-``bench/goldens.json``, the digests the benchmark itself checks; and runs
-the benchmark's layer tracer, ``bench/trace_child.py``, on one command.
+Runs every command of the benchmark workloads in-process and compares the
+exit code and the sha256 of stdout with ``bench/goldens.json``, the digests
+the benchmark itself checks; and runs the benchmark's layer tracer,
+``bench/trace_child.py``, on one command.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 GOLDENS = json.loads((BENCH / "goldens.json").read_text())
 WORKLOADS = runpy.run_path(str(BENCH / "run.py"))["WORKLOADS"]
-COMMANDS = [c for w in ("node", "kernel") for c in WORKLOADS[w]]
+COMMANDS = [c for commands in WORKLOADS.values() for c in commands]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -33,6 +33,16 @@ def test_golden_command(command, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == GOLDENS[command]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[command]["sha256"]
+
+
+def test_mv_series_prints_the_closed_golden(capsys, monkeypatch):
+    # the Mayer-Vietoris route has no golden of its own; at the desk cap it
+    # must print exactly the closed form's bytes
+    monkeypatch.delenv("RUN_SCALE", raising=False)
+    closed = "series --which closed --order 64 --format json"
+    assert main(closed.replace("closed", "mv").split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[closed]["sha256"]
 
 
 def test_tracer_runs_the_cli_and_reads_the_caches(tmp_path, capsys, monkeypatch):

@@ -33,6 +33,48 @@ KNOWN_ROWS = [
 ]
 
 
+# -- convolution oracle for the Poincare polynomials of components -------------
+
+
+def _ones(k):
+    """1 + t^2 + ... + t^(2(k-1)) as a coefficient list of length k."""
+    return [Fraction(1)] * k
+
+
+def _conv(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def _shift(p, k):
+    return [Fraction(0)] * k + p if p else []
+
+
+def _add_lists(p, q):
+    n = max(len(p), len(q))
+    return [
+        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
+        for i in range(n)
+    ]
+
+
+def oracle_component(n, k):
+    """Blown-up product plus t^2 times the exceptional divisor's product."""
+    exceptional = _shift(_conv(_ones(k), _ones(n - k)), 1)
+    base = _conv(_ones(n - k + 1), _ones(k + 1))
+    out = _add_lists(exceptional, base)
+    return out + [Fraction(0)] * (n + 1 - len(out))
+
+
+def oracle_intersection(n, k):
+    return _conv(_ones(k + 1), _ones(n - k))
+
+
 class TestExpand:
     def test_geometric_series(self):
         s = expand(RationalFunction2.make({(0, 0): 1}, {(0, 0): 1, (1, 0): -1}), 8)
@@ -57,6 +99,18 @@ class TestExpand:
         den_series = Series2.from_poly(dict(rf.den), order)
         num_series = Series2.from_poly(dict(rf.num), order)
         assert s * den_series == num_series
+
+    def test_non_unit_constant_term(self):
+        # 1/(2-q) = sum q^n / 2^(n+1): the one division, by the constant term
+        s = expand(RationalFunction2.make({(0, 0): 1}, {(0, 0): 2, (1, 0): -1}), 8)
+        for n in range(9):
+            assert s.c[n][0] == Fraction(1, 2 ** (n + 1))
+            assert all(s.c[n][j] == 0 for j in range(1, 9))
+
+    def test_integer_routes_stay_in_int(self):
+        for route in (closed_form_pv, mv_pv, paving_pv, module_pv):
+            s = route(12)
+            assert all(type(v) is int for row in s.c for v in row), route.__name__
 
     def test_noninvertible_denominator(self):
         with pytest.raises(ValueError):
@@ -99,6 +153,11 @@ class TestComponentPolynomials:
                 assert poly == poly[::-1]
                 assert len(poly) == n + 1
 
+    def test_equals_convolution_oracle(self):
+        for n in range(25):
+            for k in range(n + 1):
+                assert component_poincare(n, k) == oracle_component(n, k), (n, k)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             component_poincare(2, 3)
@@ -115,6 +174,11 @@ class TestIntersectionPolynomials:
                 poly = intersection_poincare(n, k)
                 assert poly == poly[::-1]
                 assert len(poly) == n
+
+    def test_equals_convolution_oracle(self):
+        for n in range(1, 25):
+            for k in range(n):
+                assert intersection_poincare(n, k) == oracle_intersection(n, k), (n, k)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
