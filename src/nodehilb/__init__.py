@@ -17,7 +17,7 @@ The package is organized around:
 * :mod:`nodehilb.cli` -- the ``nodehilb`` command.
 """
 
-from .exact import Poly, Rational, RatMatrix, kernel_basis, span_solve
+from .exact import Poly, kernel_basis
 from .geometry import (
     CohClass,
     CohElem,
@@ -41,10 +41,7 @@ from .weyl import Generator, WeylOp, commutator, generator_element, subalgebra_m
 
 __all__ = [
     "Poly",
-    "Rational",
-    "RatMatrix",
     "kernel_basis",
-    "span_solve",
     "CohClass",
     "CohElem",
     "coh_basis",

@@ -190,7 +190,7 @@ def run_paving(n: int, fmt: str) -> int:
         print("error: need --n >= 0", file=sys.stderr)
         return 2
     cells = geometry.paving_cells(n)
-    census = [str(int(v)) for v in geometry.paving_census(n)]
+    census = [str(v) for v in geometry.paving_census(n)]
     if fmt == "json":
         _emit_json(
             {

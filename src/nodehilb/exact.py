@@ -1,10 +1,11 @@
 """Exact rational substrate: sparse polynomials over Q and exact linear algebra.
 
-Polynomial coefficients are :class:`fractions.Fraction` (arbitrary precision,
-always stored reduced with positive denominator).  Linear algebra computes
-on Python ``int`` where the values are integral and reads results out as
-``Fraction`` where a division happens, so every computation in this package
-is exact; nothing is ever rounded.
+Coefficients are Python ``int`` wherever the values are integral and
+:class:`fractions.Fraction` (reduced, positive denominator) only where a
+division happens: in the read-out of the linear algebra below or in a caller
+that divides.  A sparse coefficient dict is built and accumulated in one
+place, :func:`as_exact` and :func:`add_into`, which the polynomial, operator
+and cohomology classes all share.  Nothing is ever rounded.
 
 Polynomials live in Q[x1..xm, y1..ym].  A monomial is a flat exponent tuple
 of length ``2m`` (x-exponents first, then y-exponents), and carries the
@@ -17,8 +18,8 @@ is graded lexicographic with x1 > x2 > ... > xm > y1 > ... > ym; it is used
 for canonical printing and for pivot selection in coset reductions, so all
 output is deterministic.
 
-Linear algebra (row reduction, kernels, span membership) runs through one
-sparse elimination core on integer rows ``{column: int}``: rational rows are
+Linear algebra (row reduction and kernels) runs through one sparse
+elimination core on integer rows ``{column: int}``: rational rows are
 scaled to integers first, rows are combined fraction-free as ``a*r - b*p``
 and divided by the gcd of their entries (Bareiss, Math. Comp. 22, 1968), and
 only the read-out of the reduced form divides by the pivots.
@@ -26,12 +27,9 @@ only the read-out of the reduced form divides by the pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 Monomial = tuple  # flat exponent tuple of length 2m
 
@@ -53,6 +51,34 @@ def monomial_bidegree(exps: Monomial, m: int) -> tuple[int, int]:
     return (sum(exps), 2 * sum(exps[m:]))
 
 
+def as_exact(c):
+    """An exact coefficient: ``int`` and ``Fraction`` pass through unchanged.
+
+    Anything else, such as a float or a string like ``"2/3"``, becomes a
+    ``Fraction``, so a float is never stored.
+    """
+    if isinstance(c, (int, Fraction)):
+        return c
+    return Fraction(c)
+
+
+def add_into(acc: dict, items: Iterable, scale=1) -> dict:
+    """Add ``scale * c`` to ``acc[key]`` for each ``(key, c)``; returns ``acc``.
+
+    The one accumulation loop of the sparse coefficient dicts of ``exact``,
+    ``weyl``, ``geometry`` and ``nodemodule`` (``series`` keeps its own, as
+    an independent route).  Entries that cancel to zero are dropped, so a
+    dict built only through it never stores a zero.
+    """
+    for key, c in items:
+        v = acc.get(key, 0) + scale * c
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class Poly:
     """Sparse polynomial in Q[x1..xm, y1..ym].
 
@@ -69,7 +95,7 @@ class Poly:
         clean = {}
         if coeffs:
             for exps, c in coeffs.items():
-                c = Fraction(c)
+                c = as_exact(c)
                 if c == 0:
                     continue
                 exps = tuple(exps)
@@ -86,7 +112,7 @@ class Poly:
 
     @classmethod
     def constant(cls, m: int, c) -> "Poly":
-        return cls(m, {(0,) * (2 * m): Fraction(c)})
+        return cls(m, {(0,) * (2 * m): c})
 
     @classmethod
     def one(cls, m: int) -> "Poly":
@@ -94,7 +120,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, m: int, exps: Monomial, c=1) -> "Poly":
-        return cls(m, {tuple(exps): Fraction(c)})
+        return cls(m, {tuple(exps): c})
 
     @classmethod
     def variable(cls, m: int, idx: int) -> "Poly":
@@ -121,46 +147,37 @@ class Poly:
         if self.m != other.m:
             raise ValueError(f"mismatched ambient variable count: {self.m} vs {other.m}")
 
-    def __add__(self, other):
+    def _plus(self, other, scale) -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(self.m, other)
         self._check_same_ambient(other)
-        coeffs = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            c2 = coeffs.get(exps, 0) + c
-            if c2 == 0:
-                coeffs.pop(exps, None)
-            else:
-                coeffs[exps] = c2
-        return Poly(self.m, coeffs)
+        return Poly(self.m, add_into(dict(self.coeffs), other.coeffs.items(), scale))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.m, {e: -c for e, c in self.coeffs.items()})
+        return Poly(self.m, add_into({}, self.coeffs.items(), -1))
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.m, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Poly.constant(self.m, other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            return Poly(self.m, {e: k * c for e, k in self.coeffs.items()})
+            return Poly(self.m, add_into({}, self.coeffs.items(), as_exact(other)))
         self._check_same_ambient(other)
         coeffs: dict = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = coeffs.get(e, 0) + c1 * c2
-                if c == 0:
-                    coeffs.pop(e, None)
-                else:
-                    coeffs[e] = c
+            add_into(
+                coeffs,
+                ((tuple(a + b for a, b in zip(e1, e2)), c2) for e2, c2 in other.coeffs.items()),
+                c1,
+            )
         return Poly(self.m, coeffs)
 
     __rmul__ = __mul__
@@ -189,8 +206,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, exps: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Monomial):
+        return self.coeffs.get(tuple(exps), 0)
 
     def terms(self):
         """Terms sorted by the fixed monomial order, leading term first."""
@@ -210,10 +227,6 @@ class Poly:
             new[idx] = e - 1
             coeffs[tuple(new)] = c * e
         return Poly(self.m, coeffs)
-
-    def is_homogeneous(self) -> bool:
-        degs = {monomial_bidegree(e, self.m) for e in self.coeffs}
-        return len(degs) <= 1
 
     def bidegree(self) -> tuple[int, int] | None:
         """Common bidegree of all terms; None for 0; raises if mixed."""
@@ -267,39 +280,6 @@ def render_terms(terms, names: Sequence[str]) -> str:
 # -- exact linear algebra ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense matrix of rationals; rows is a tuple of row tuples."""
-
-    rows: tuple
-    nrows: int
-    ncols: int
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], ncols: int | None = None) -> "RatMatrix":
-        rs = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if rs:
-            ncols = len(rs[0])
-            if any(len(r) != ncols for r in rs):
-                raise ValueError("ragged rows")
-        elif ncols is None:
-            ncols = 0
-        return cls(rs, len(rs), ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_rows(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-            ncols=n,
-        )
-
-    def kernel_basis(self):
-        return kernel_basis(self)
-
-    def rank(self) -> int:
-        return len(rref(self)[1])
-
-
 def _int_row(items) -> dict:
     """One row as ``{column: int}`` whose entries have gcd 1.
 
@@ -309,8 +289,7 @@ def _int_row(items) -> dict:
     """
     row = {}
     for c, v in items:
-        if not isinstance(v, (int, Fraction)):
-            v = Fraction(v)
+        v = as_exact(v)
         if v:
             row[c] = v
     den = lcm(*(v.denominator for v in row.values()))
@@ -334,13 +313,7 @@ def _cancel(row: dict, piv: dict, col: int) -> dict:
     g = gcd(a, b)
     a, b = a // g, b // g
     out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
-    for c, v in piv.items():
-        w = out.get(c, 0) - b * v
-        if w:
-            out[c] = w
-        else:
-            del out[c]
-    return _primitive(out)
+    return _primitive(add_into(out, piv.items(), -b))
 
 
 def _echelon(rows: list[dict], ncols: int | None) -> dict[int, dict]:
@@ -380,8 +353,6 @@ def _reduce(pivots: dict[int, dict]) -> list[tuple[int, dict]]:
 
 def _normalise(mat, ncols: int | None) -> tuple[list[dict], int | None, bool]:
     """Integer rows, column count and whether the input was dense."""
-    if isinstance(mat, RatMatrix):
-        return [_int_row(enumerate(r)) for r in mat.rows], mat.ncols, True
     if not mat:
         return [], ncols or 0, True
     if not isinstance(mat[0], dict):
@@ -414,7 +385,7 @@ def rref(mat) -> tuple[list, list[int]]:
 def kernel_basis(mat, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
     """Exact null-space basis of a matrix; empty list iff injective.
 
-    Accepts a RatMatrix or a sequence of rows, dense or sparse as for
+    Accepts a sequence of rows, dense or sparse as for
     :func:`rref`; sparse rows need ``ncols``.  One basis vector per free
     column, with a 1 in the free position (deterministic order).
     """
@@ -438,53 +409,3 @@ def kernel_basis(mat, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
                 vec[col] = Fraction(-v, row[col])
         basis.append(tuple(vec))
     return basis
-
-
-def solve_columns(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Solve A c = rhs where A has the given columns; None if inconsistent.
-
-    Free coordinates of the solution are set to zero.
-    """
-    ncols = len(columns)
-    nrows = len(rhs)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs[i])]
-        for i in range(nrows)
-    ]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][ncols]
-    return sol
-
-
-def span_solve(vectors: Sequence[Poly], target: Poly) -> list[Fraction] | None:
-    """Express target in the span of homogeneous vectors, or None if outside.
-
-    All inputs must be homogeneous of one common bidegree (zero is allowed
-    anywhere); the returned coefficients are exact and reproduce the target
-    on the nose.
-    """
-    if not vectors:
-        return [] if target.is_zero() else None
-    m = vectors[0].m
-    degs = set()
-    for p in list(vectors) + [target]:
-        if p.m != m:
-            raise ValueError("mismatched ambient variable count")
-        d = p.bidegree()  # raises on inhomogeneous input
-        if d is not None:
-            degs.add(d)
-    if len(degs) > 1:
-        raise ValueError(f"inputs span several bidegrees: {sorted(degs)}")
-    support = sorted(
-        {e for p in vectors for e in p.coeffs} | set(target.coeffs),
-        key=monomial_key,
-        reverse=True,
-    )
-    columns = [[p.coefficient(e) for e in support] for p in vectors]
-    rhs = [target.coefficient(e) for e in support]
-    return solve_columns(columns, rhs)
-

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import nodemodule
-from .exact import frac_str, kernel_basis
+from .exact import add_into, as_exact, frac_str, kernel_basis
 from .series import intersection_poincare
 
 
@@ -105,9 +104,9 @@ def coh_basis(n: int, k: int) -> list[CohElem]:
     return elems
 
 
-def poincare_from_basis(n: int, k: int) -> list[Fraction]:
+def poincare_from_basis(n: int, k: int) -> list[int]:
     """Degree census of the explicit basis; must match the product formula."""
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for e in coh_basis(n, k):
         out[e.degree // 2] += 1
     return out
@@ -123,7 +122,7 @@ class CohClass:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                c = as_exact(c)
                 if c == 0:
                     continue
                 if e.n != n:
@@ -134,24 +133,19 @@ class CohClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "CohClass") -> "CohClass":
+    def _plus(self, other: "CohClass", scale) -> "CohClass":
         if self.n != other.n:
             raise ValueError("classes live at different levels")
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            c2 = coeffs.get(e, 0) + c
-            if c2 == 0:
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = c2
-        return CohClass(self.n, coeffs)
+        return CohClass(self.n, add_into(dict(self.coeffs), other.coeffs.items(), scale))
+
+    def __add__(self, other: "CohClass") -> "CohClass":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + (other * Fraction(-1))
+        return self._plus(other, -1)
 
     def __mul__(self, scalar) -> "CohClass":
-        c = Fraction(scalar)
-        return CohClass(self.n, {e: v * c for e, v in self.coeffs.items()})
+        return CohClass(self.n, add_into({}, self.coeffs.items(), as_exact(scalar)))
 
     __rmul__ = __mul__
 
@@ -183,24 +177,19 @@ def _moved(e: CohElem, new_k: int) -> CohElem | None:
     return CohElem(n2, new_k, e.kind, e.i, e.j)
 
 
+def _pullback(c: CohClass, shift: int) -> CohClass:
+    moved = ((_moved(e, e.k - shift), v) for e, v in c.coeffs.items())
+    return CohClass(c.n - 1, add_into({}, ((t, v) for t, v in moved if t is not None)))
+
+
 def pullback_x1(c: CohClass) -> CohClass:
     """Restriction along adding a point on the first branch: component k -> k."""
-    out: dict = {}
-    for e, v in c.coeffs.items():
-        tgt = _moved(e, e.k)
-        if tgt is not None:
-            out[tgt] = out.get(tgt, 0) + v
-    return CohClass(c.n - 1, out)
+    return _pullback(c, 0)
 
 
 def pullback_x2(c: CohClass) -> CohClass:
     """Restriction along adding a point on the second branch: component k -> k-1."""
-    out: dict = {}
-    for e, v in c.coeffs.items():
-        tgt = _moved(e, e.k - 1)
-        if tgt is not None:
-            out[tgt] = out.get(tgt, 0) + v
-    return CohClass(c.n - 1, out)
+    return _pullback(c, 1)
 
 
 def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
@@ -229,7 +218,7 @@ def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
                 for t, v in pb(cls).coeffs.items():
                     r = index.get((tag, t))
                     if r is not None:
-                        rows[r][col] = rows[r].get(col, 0) + v
+                        add_into(rows[r], ((col, v),))
         kernel = kernel_basis(rows, len(source))
         result[k] = [
             CohClass(n, {e: c for e, c in zip(source, vec) if c != 0}) for vec in kernel
@@ -249,12 +238,12 @@ def mv_dimension_check(n: int) -> dict:
     rows = []
     ok_all = True
     for j in range(n + 1):
-        comp = sum(int(poincare_from_basis(n, k)[j]) for k in range(n + 1))
+        comp = sum(poincare_from_basis(n, k)[j] for k in range(n + 1))
         inter = 0
         for k in range(n):
             poly = intersection_poincare(n, k)
             if j < len(poly):
-                inter += int(poly[j])
+                inter += poly[j]
         expected = nodemodule.dim_piece(n, 2 * j)
         ok = comp - inter == expected
         ok_all = ok_all and ok
@@ -318,9 +307,9 @@ def paving_cells(n: int) -> list[PavingCell]:
     return cells
 
 
-def paving_census(n: int) -> list[Fraction]:
+def paving_census(n: int) -> list[int]:
     """Generating polynomial (in t^2) of cell dimensions at level n."""
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for cell in paving_cells(n):
         out[cell.dim] += 1
     return out

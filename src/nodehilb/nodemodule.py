@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact import Poly, kernel_basis, monomial_key, rref
-from .weyl import Generator, generator_element, generators
+from .exact import Poly, add_into, kernel_basis, monomial_key, rref
+from .weyl import Generator, generator_element
 
 M = 2  # the node has two branches; everything in this module is at m = 2
 
@@ -78,6 +78,18 @@ def _is_pivot(e: tuple) -> bool:
     return e[0] >= 1 and e[3] == 0
 
 
+def _normal_form(e: tuple) -> list:
+    """The canonical representative of one monomial, as (monomial, int) terms."""
+    if not _is_pivot(e):
+        return [(e, 1)]
+    a, b, s, _ = e
+    terms = [((0, a + b, s, 0), 1)]
+    for i in range(1, s + 1):
+        k = comb(s, i)
+        terms += [((0, a + b, s - i, i), k), ((a, b, s - i, i), -k)]
+    return terms
+
+
 @dataclass(frozen=True)
 class PieceData:
     """One bidegree of the quotient."""
@@ -101,7 +113,7 @@ class NodeClass:
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def coordinates(self) -> list[Fraction]:
+    def coordinates(self) -> list:
         """Coefficients over the canonical basis of the (n, d) piece."""
         data = piece_data(self.n, self.d)
         return [self.rep.coefficient(e) for e in data.basis]
@@ -127,15 +139,7 @@ def reduce_poly(p: Poly, grade: tuple[int, int] | None = None) -> NodeClass:
         raise ValueError(f"polynomial has bidegree {deg}, expected {grade}")
     coeffs: dict = {}
     for e, c in p.coeffs.items():
-        terms = [(e, c)]
-        if _is_pivot(e):
-            a, b, s, _ = e
-            terms = [((0, a + b, s, 0), c)]
-            for i in range(1, s + 1):
-                k = c * comb(s, i)
-                terms += [((0, a + b, s - i, i), k), ((a, b, s - i, i), -k)]
-        for f, v in terms:
-            coeffs[f] = coeffs.get(f, 0) + v
+        add_into(coeffs, _normal_form(e), c)
     return NodeClass(Poly(M, coeffs), *deg)
 
 
@@ -245,12 +249,7 @@ def _compose_columns(g2: Generator, g1: Generator, n: int, d: int) -> list[dict]
     for col in first:
         acc: dict = {}
         for f, c in col:
-            for i, c2 in second[f]:
-                v = acc.get(i, 0) + c * c2
-                if v == 0:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = v
+            add_into(acc, second[f], c)
         out.append(acc)
     return out
 
@@ -259,17 +258,7 @@ def commutator_columns(a: Generator, b: Generator, n: int, d: int) -> list[dict]
     """Sparse columns of [a, b] = a b - b a on the (n, d) piece."""
     ab = _compose_columns(a, b, n, d)
     ba = _compose_columns(b, a, n, d)
-    out = []
-    for ca, cb in zip(ab, ba):
-        acc = dict(ca)
-        for i, c in cb.items():
-            v = acc.get(i, 0) - c
-            if v == 0:
-                acc.pop(i, None)
-            else:
-                acc[i] = v
-        out.append(acc)
-    return out
+    return [add_into(ca, cb.items(), -1) for ca, cb in zip(ab, ba)]
 
 
 def _columns_are_zero(cols: list[dict]) -> bool:
@@ -412,31 +401,3 @@ def no_extension_witness() -> dict:
         and (not y2u.is_zero())
         and symmetric.is_zero(),
     }
-
-
-def random_u_element(rng, n_cap: int = 6) -> Poly:
-    """A random homogeneous element of U with small exponents."""
-    a = rng.randrange(n_cap)
-    b = rng.randrange(n_cap)
-    s = rng.randrange(n_cap)
-    c = Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 5))
-    p = u_generator_poly(a, b, s) * c
-    # sometimes mix in a second spanning element of the same bidegree
-    if a + b > 0 and rng.random() < 0.5:
-        a2 = rng.randrange(a + b + 1)
-        p = p + u_generator_poly(a2, a + b - a2, s) * Fraction(rng.randrange(-4, 5))
-    return p
-
-
-def u_preservation_checks(count: int, rng) -> list[bool]:
-    """reduce(g . u) = 0 for random u in U and all six generators."""
-    results = []
-    for _ in range(count):
-        u = random_u_element(rng)
-        for g in generators(M):
-            acted = generator_element(g, M).act(u)
-            if acted.is_zero():
-                results.append(True)
-                continue
-            results.append(reduce_poly(acted).is_zero())
-    return results

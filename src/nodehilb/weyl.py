@@ -23,9 +23,10 @@ every other pair of generators commuting.  The words
     x^a * mu_plus^s * dy^d * mu_minus^r
 
 span this subalgebra, have pairwise disjoint normal-form supports, and are
-homogeneous for the total-degree (Bernstein) filtration; membership of an
-operator in the subalgebra is therefore a finite exact linear solve, and a
-negative answer is conclusive.
+homogeneous for the total-degree (Bernstein) filtration.  Each word has
+coefficient 1 at its own normal monomial x^a y1^s dx1^r dy^d, so membership
+of an operator in the subalgebra is decided by reading each coefficient off
+that monomial and comparing the reconstruction; a mismatch is conclusive.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly, render_terms, solve_columns
+from .exact import Poly, add_into, as_exact, render_terms
 
 GENERATOR_BIDEGREES = {"x": (1, 0), "d": (-1, -2), "mu+": (1, 2), "mu-": (-1, 0)}
 
@@ -89,8 +90,9 @@ class WeylOp:
     """Element of the Weyl algebra in normal form.
 
     ``terms`` maps (a, b, g, d) -- four exponent tuples of length m, for
-    x^a y^b dx^g dy^d -- to a nonzero Fraction.  Instances are never
-    mutated after construction.
+    x^a y^b dx^g dy^d -- to a nonzero exact coefficient (``int`` where
+    integral, else ``Fraction``).  Instances are never mutated after
+    construction.
     """
 
     __slots__ = ("m", "terms")
@@ -102,7 +104,7 @@ class WeylOp:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
+                c = as_exact(c)
                 if c == 0:
                     continue
                 a, b, g, d = (tuple(t) for t in key)
@@ -121,7 +123,7 @@ class WeylOp:
     @classmethod
     def constant(cls, m: int, c) -> "WeylOp":
         z = _zeros(m)
-        return cls(m, {(z, z, z, z): Fraction(c)})
+        return cls(m, {(z, z, z, z): c})
 
     @classmethod
     def one(cls, m: int) -> "WeylOp":
@@ -133,7 +135,7 @@ class WeylOp:
             raise ValueError(f"index {i} out of range for m={m}")
         key = [_zeros(m)] * 4
         key[slot] = _bump(_zeros(m), i - 1)
-        return cls(m, {tuple(key): Fraction(1)})
+        return cls(m, {tuple(key): 1})
 
     @classmethod
     def x(cls, m: int, i: int) -> "WeylOp":
@@ -157,46 +159,34 @@ class WeylOp:
         if self.m != other.m:
             raise ValueError(f"mismatched ambient variable count: {self.m} vs {other.m}")
 
-    def __add__(self, other):
+    def _plus(self, other, scale) -> "WeylOp":
         if not isinstance(other, WeylOp):
             other = WeylOp.constant(self.m, other)
         self._check_same_ambient(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            c2 = terms.get(key, 0) + c
-            if c2 == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = c2
-        return WeylOp(self.m, terms)
+        return WeylOp(self.m, add_into(dict(self.terms), other.terms.items(), scale))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylOp(self.m, {k: -c for k, c in self.terms.items()})
+        return WeylOp(self.m, add_into({}, self.terms.items(), -1))
 
     def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.constant(self.m, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return WeylOp.constant(self.m, other) - self
 
     def __mul__(self, other):
         if not isinstance(other, WeylOp):
-            c = Fraction(other)
-            return WeylOp(self.m, {k: v * c for k, v in self.terms.items()})
+            return WeylOp(self.m, add_into({}, self.terms.items(), as_exact(other)))
         self._check_same_ambient(other)
         terms: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                for key, c in _mono_mul(k1, k2, self.m):
-                    c = c * c1 * c2 + terms.get(key, 0)
-                    if c == 0:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = c
+                add_into(terms, _mono_mul(k1, k2, self.m), c1 * c2)
         return WeylOp(self.m, terms)
 
     def __rmul__(self, other):
@@ -299,7 +289,7 @@ def _mono_mul(k1, k2, m):
                 tuple(p + q - j for p, q, j in zip(g1, g2, jx)),
                 tuple(p + q - j for p, q, j in zip(d1, d2, jy)),
             )
-            yield key, Fraction(c)
+            yield key, c
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -391,9 +381,9 @@ class SubalgebraWord:
         mup = generator_element(Generator("mu+"), m)
         mum = generator_element(Generator("mu-"), m)
         # multiply in normal order: x^alpha * mu+^s * dy^delta * mu-^r
-        out = WeylOp(m, {(self.alpha, _zeros(m), _zeros(m), _zeros(m)): Fraction(1)})
+        out = WeylOp(m, {(self.alpha, _zeros(m), _zeros(m), _zeros(m)): 1})
         out = out * mup**self.s
-        out = out * WeylOp(m, {(_zeros(m), _zeros(m), _zeros(m), self.delta): Fraction(1)})
+        out = out * WeylOp(m, {(_zeros(m), _zeros(m), _zeros(m), self.delta): 1})
         return out * mum**self.r
 
     def __str__(self):
@@ -411,34 +401,25 @@ class SubalgebraWord:
         return "*".join(bits) if bits else "1"
 
 
-def subalgebra_membership(w: WeylOp) -> dict[SubalgebraWord, Fraction] | None:
+def subalgebra_membership(w: WeylOp) -> dict[SubalgebraWord, int | Fraction] | None:
     """Expand w over the spanning words, or return None if w is outside.
 
     Distinct words have disjoint normal-form supports, so the only words
     that can appear in an expansion of w are those whose support meets the
     support of w; each such word is read off a normal monomial (a,b,g,d) of
-    w as (a, |b|, d, |g|), and its total degree is bounded by the Bernstein
-    degree of w.  Expanding those candidates and solving the exact linear
-    system therefore decides membership outright: a failed solve proves
-    there is no expansion at any degree.
+    w as (a, |b|, d, |g|).  A word has coefficient 1 at its normal monomial
+    x^alpha y1^s dx1^r dy^delta, which no other word touches, so its
+    coefficient in any expansion is the coefficient of w there.  The
+    expansion is accepted only if it rebuilds w exactly; otherwise no
+    expansion exists at any degree.
     """
     m = w.m
-    if w.is_zero():
-        return {}
-    candidates = sorted(
-        {
-            SubalgebraWord(a, sum(b), d, sum(g))
-            for (a, b, g, d) in w.terms
-        },
-        key=lambda wd: (wd.degree(), wd.alpha, wd.s, wd.delta, wd.r),
-    )
-    expansions = [wd.to_weyl(m) for wd in candidates]
-    support = sorted(
-        {key for e in expansions for key in e.terms} | set(w.terms)
-    )
-    columns = [[e.terms.get(key, Fraction(0)) for key in support] for e in expansions]
-    rhs = [w.terms.get(key, Fraction(0)) for key in support]
-    sol = solve_columns(columns, rhs)
-    if sol is None:
-        return None
-    return {wd: c for wd, c in zip(candidates, sol) if c != 0}
+    rest = _zeros(m - 1)
+    expansion = {}
+    rebuilt: dict = {}
+    for wd in {SubalgebraWord(a, sum(b), d, sum(g)) for (a, b, g, d) in w.terms}:
+        c = w.terms.get((wd.alpha, (wd.s,) + rest, (wd.r,) + rest, wd.delta), 0)
+        if c:
+            expansion[wd] = c
+            add_into(rebuilt, wd.to_weyl(m).terms.items(), c)
+    return expansion if rebuilt == w.terms else None

@@ -1,0 +1,127 @@
+"""Reference routes and random inputs that only tests use.
+
+``solve_columns`` and ``span_solve`` decide span membership by a dense
+linear solve through :func:`nodehilb.exact.rref`; the package itself needs
+no linear solve, since its membership test reads coefficients off.
+``RatMatrix`` is the dense matrix the older tests were written against.
+``u_preservation_checks`` acts by every generator on random rational
+elements of the node's submodule U and checks that the result reduces to 0.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from nodehilb.exact import Poly, kernel_basis, monomial_key, rref
+from nodehilb.nodemodule import M, reduce_poly, u_generator_poly
+from nodehilb.weyl import generator_element, generators
+
+
+@dataclass(frozen=True)
+class RatMatrix:
+    """Dense matrix of rationals; rows is a tuple of row tuples."""
+
+    rows: tuple
+    nrows: int
+    ncols: int
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable], ncols: int | None = None) -> "RatMatrix":
+        rs = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        if rs:
+            ncols = len(rs[0])
+            if any(len(r) != ncols for r in rs):
+                raise ValueError("ragged rows")
+        elif ncols is None:
+            ncols = 0
+        return cls(rs, len(rs), ncols)
+
+    @classmethod
+    def identity(cls, n: int) -> "RatMatrix":
+        return cls.from_rows(
+            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
+            ncols=n,
+        )
+
+    def kernel_basis(self):
+        return kernel_basis(list(self.rows), self.ncols)
+
+    def rank(self) -> int:
+        return len(rref(list(self.rows))[1])
+
+
+def solve_columns(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
+    """Solve A c = rhs where A has the given columns; None if inconsistent.
+
+    Free coordinates of the solution are set to zero.
+    """
+    ncols = len(columns)
+    nrows = len(rhs)
+    aug = [
+        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs[i])]
+        for i in range(nrows)
+    ]
+    red, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = red[r][ncols]
+    return sol
+
+
+def span_solve(vectors: Sequence[Poly], target: Poly) -> list[Fraction] | None:
+    """Express target in the span of homogeneous vectors, or None if outside.
+
+    All inputs must be homogeneous of one common bidegree (zero is allowed
+    anywhere); the returned coefficients are exact and reproduce the target
+    on the nose.
+    """
+    if not vectors:
+        return [] if target.is_zero() else None
+    m = vectors[0].m
+    degs = set()
+    for p in list(vectors) + [target]:
+        if p.m != m:
+            raise ValueError("mismatched ambient variable count")
+        d = p.bidegree()  # raises on inhomogeneous input
+        if d is not None:
+            degs.add(d)
+    if len(degs) > 1:
+        raise ValueError(f"inputs span several bidegrees: {sorted(degs)}")
+    support = sorted(
+        {e for p in vectors for e in p.coeffs} | set(target.coeffs),
+        key=monomial_key,
+        reverse=True,
+    )
+    columns = [[p.coefficient(e) for e in support] for p in vectors]
+    rhs = [target.coefficient(e) for e in support]
+    return solve_columns(columns, rhs)
+
+
+def random_u_element(rng, n_cap: int = 6) -> Poly:
+    """A random homogeneous element of U with small exponents."""
+    a = rng.randrange(n_cap)
+    b = rng.randrange(n_cap)
+    s = rng.randrange(n_cap)
+    c = Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 5))
+    p = u_generator_poly(a, b, s) * c
+    # sometimes mix in a second spanning element of the same bidegree
+    if a + b > 0 and rng.random() < 0.5:
+        a2 = rng.randrange(a + b + 1)
+        p = p + u_generator_poly(a2, a + b - a2, s) * Fraction(rng.randrange(-4, 5))
+    return p
+
+
+def u_preservation_checks(count: int, rng) -> list[bool]:
+    """reduce(g . u) = 0 for random u in U and all six generators."""
+    results = []
+    for _ in range(count):
+        u = random_u_element(rng)
+        for g in generators(M):
+            acted = generator_element(g, M).act(u)
+            if acted.is_zero():
+                results.append(True)
+                continue
+            results.append(reduce_poly(acted).is_zero())
+    return results

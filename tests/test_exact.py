@@ -1,20 +1,17 @@
 """Exact polynomial arithmetic and linear algebra over Q."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nodehilb.exact import (
-    Poly,
-    RatMatrix,
-    frac_str,
-    kernel_basis,
-    monomial_bidegree,
-    rref,
-    solve_columns,
-    span_solve,
-)
+import nodehilb
+from nodehilb.exact import Poly, frac_str, monomial_bidegree, rref
+from nodehilb.geometry import CohClass, CohElem
+from nodehilb.weyl import WeylOp
+from oracles import RatMatrix, solve_columns, span_solve
 
 
 def x(i, m=2):
@@ -164,14 +161,14 @@ class TestSpanSolve:
 
 class TestLinearAlgebra:
     def test_identity_injective(self):
-        assert kernel_basis(RatMatrix.identity(3)) == []
+        assert RatMatrix.identity(3).kernel_basis() == []
 
     def test_zero_matrix_full_kernel(self):
         mat = RatMatrix.from_rows([[0, 0], [0, 0]])
-        assert len(kernel_basis(mat)) == 2
+        assert len(mat.kernel_basis()) == 2
 
     def test_rank_one_symmetric(self):
-        vecs = kernel_basis(RatMatrix.from_rows([[1, 1], [1, 1]]))
+        vecs = RatMatrix.from_rows([[1, 1], [1, 1]]).kernel_basis()
         assert len(vecs) == 1
         v = vecs[0]
         assert v[0] == -v[1] != 0
@@ -186,7 +183,7 @@ class TestLinearAlgebra:
             for _ in range(rng.randrange(4)):
                 rows.append([Fraction(rng.randrange(-4, 5)) for _ in range(ncols)])
             mat = RatMatrix.from_rows(rows)
-            kernel = kernel_basis(mat)
+            kernel = mat.kernel_basis()
             assert mat.rank() + len(kernel) == ncols
             for v in kernel:
                 for row in rows:
@@ -218,3 +215,57 @@ class TestRendering:
     def test_frac_str(self):
         assert frac_str(Fraction(10)) == "10"
         assert frac_str(Fraction(-1, 2)) == "-1/2"
+
+
+class TestCoefficientTypes:
+    def test_int_kept_and_inexact_input_made_fraction(self):
+        key = ((1, 0), (0, 0), (0, 0), (0, 0))
+        e = CohElem(1, 0, "plain", 1, 0)
+        x1 = (1, 0, 0, 0)
+        for c, kind in ((3, int), (Fraction(1, 3), Fraction), (0.5, Fraction), ("2/3", Fraction)):
+            stored = [
+                Poly(2, {x1: c}).coeffs[x1],
+                (Poly.x(2, 1) * c).coeffs[x1],
+                WeylOp(2, {key: c}).terms[key],
+                (WeylOp(2, {key: 1}) * c).terms[key],
+                CohClass(1, {e: c}).coeffs[e],
+                (CohClass(1, {e: 1}) * c).coeffs[e],
+            ]
+            assert all(type(v) is kind and v == Fraction(c) for v in stored), (c, stored)
+
+
+# Where a coefficient may become a Fraction: a division, or the coercion of
+# an inexact input.  Everything else in the package computes on int.
+FRACTION_SITES = {
+    ("exact.py", "frac_str"),
+    ("exact.py", "as_exact"),
+    ("exact.py", "rref"),
+    ("exact.py", "kernel_basis"),
+    ("nodemodule.py", "fundamental_class"),
+    ("series.py", "expand"),
+}
+
+
+def fraction_calls(path: Path) -> set:
+    """(file, innermost enclosing function) of every ``Fraction(...)`` call."""
+    found = set()
+
+    def walk(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "Fraction":
+                found.add((path.name, func))
+        for child in ast.iter_child_nodes(node):
+            walk(child, func)
+
+    walk(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_fraction_is_built_only_at_division_sites():
+    package = Path(nodehilb.__file__).parent
+    found = set().union(*(fraction_calls(p) for p in sorted(package.glob("*.py"))))
+    assert found == FRACTION_SITES

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from nodehilb import geometry, nodemodule, series
+from nodehilb import geometry, nodemodule, series, weyl
 from nodehilb.cli import main
 from nodehilb.exact import Poly
 from nodehilb.weyl import Generator
@@ -148,3 +148,26 @@ def test_series_suite_catches_a_widened_pivot_rule(capsys, monkeypatch, fresh_ca
     assert enumerated["status"] == "fail"
     assert ["quotient", 2, 1, "3", 2] in enumerated["mismatches"]
     assert all(m[0] == "quotient" for m in enumerated["mismatches"])
+
+
+def test_relations_suite_catches_a_product_without_its_rewriting_terms(capsys, monkeypatch):
+    # du*u -> u*du with the "+ 1" dropped: every j >= 1 term of the closed
+    # form lowers the position exponents, so keep only those that do not
+    real = weyl._mono_mul
+
+    def commuting(k1, k2, m):
+        a1, b1 = k1[0], k1[1]
+        a2, b2 = k2[0], k2[1]
+        for key, c in real(k1, k2, m):
+            if sum(key[0]) == sum(a1) + sum(a2) and sum(key[1]) == sum(b1) + sum(b2):
+                yield key, c
+
+    monkeypatch.setattr(weyl, "_mono_mul", commuting)
+    code, report = verify(capsys, "relations", "--m", "2")
+    assert code == 1 and report["status"] == "fail"
+    assert {(f["family"], f["i"], f["got"]) for f in report["failures"]} == {
+        ("[d_i,mu+]=1", 1, "0"),
+        ("[d_i,mu+]=1", 2, "0"),
+        ("[mu-,x_i]=1", 1, "0"),
+        ("[mu-,x_i]=1", 2, "0"),
+    }

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from nodehilb.exact import Poly, span_solve
+from nodehilb.exact import Poly
 from nodehilb.nodemodule import (
     NodeClass,
     apply_generator,
@@ -24,9 +25,9 @@ from nodehilb.nodemodule import (
     relation_matrix_checks,
     u_generator_exponents,
     u_generator_poly,
-    u_preservation_checks,
 )
-from nodehilb.weyl import Generator
+from nodehilb.weyl import Generator, generators
+from oracles import span_solve, u_preservation_checks
 
 X1, X2, Y1, Y2 = Poly.x(2, 1), Poly.x(2, 2), Poly.y(2, 1), Poly.y(2, 2)
 
@@ -188,6 +189,13 @@ class TestFundamentalClasses:
         assert fundamental_class(1, 1).rep == Y1
         assert fundamental_class(2, 1).rep == Y1 * Y2
         assert fundamental_class(3, 2).rep == Y1**2 * Y2 * Fraction(1, 2)
+        # the one division of the module: 1/(k!(n-k)!) stays a Fraction
+        for n in range(7):
+            for k in range(n + 1):
+                (c,) = fundamental_class(n, k).rep.coeffs.values()
+                den = factorial(k) * factorial(n - k)
+                assert c == Fraction(1, den)
+                assert den == 1 or type(c) is Fraction
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -275,6 +283,15 @@ class TestOperatorIdentities:
         assert {i for col in cols for i, _ in col} == set(range(dim_piece(2, 0)))
         # d1 leaves the range from (0, 0): one empty column
         assert operator_columns(Generator("d", 1), 0, 0) == ((),)
+
+    def test_operator_columns_are_int(self):
+        # the generators act on monomials with integer coefficients and the
+        # normal form rewrites with binomials, so no column entry is rational
+        for g in generators(2):
+            for n in range(11):
+                for d in range(0, 2 * n + 1, 2):
+                    for col in operator_columns(g, n, d):
+                        assert all(type(c) is int for _, c in col), (g, n, d)
 
     def test_unit_commutator_on_one_piece(self):
         # [d1, mu+] as honest matrices on the (2, 2) piece

@@ -265,7 +265,7 @@ def exhaustive_membership(w):
     """
     import itertools
 
-    from nodehilb.exact import solve_columns
+    from oracles import solve_columns
 
     m = w.m
     if w.is_zero():
