@@ -26,6 +26,13 @@ rewrites a pivot monomial into non-pivot ones in one step.  Reduction is
 linear and idempotent, and the non-pivot monomials of each graded piece
 are its basis, from which all operator matrices, dimension tables and rank
 checks are computed exactly.
+
+The operator matrices are read off the exponents: a generator sends a
+basis monomial x1^a1 x2^a2 y1^b1 y2^b2 to at most two monomials with
+integer factors a_i or b_i, each of which the rewrite above reduces, so a
+column is built in ``int`` without any polynomial arithmetic.
+``apply_generator`` acts instead through the generator's Weyl algebra
+element, an independent route to the same action.
 """
 
 from __future__ import annotations
@@ -180,10 +187,19 @@ def betti_table(n_max: int) -> list[list[int]]:
     ]
 
 
-def apply_generator(g: Generator, v: NodeClass) -> NodeClass:
-    """Act by a generator and reduce; shifts the bidegree by its own."""
+def _check_index(g: Generator) -> None:
     if g.kind in ("x", "d") and not 1 <= g.index <= M:
         raise ValueError(f"generator index {g.index} out of range at m=2")
+
+
+def apply_generator(g: Generator, v: NodeClass) -> NodeClass:
+    """Act by a generator and reduce; shifts the bidegree by its own.
+
+    This acts through the Weyl algebra element ``generator_element(g)`` on
+    the polynomial representative, independently of the exponent read-off
+    behind ``operator_columns``.
+    """
+    _check_index(g)
     dn, dd = g.bidegree
     n2, d2 = v.n + dn, v.d + dd
     if n2 < 0 or d2 < 0:
@@ -212,13 +228,35 @@ def _piece_in_range(n: int, d: int) -> bool:
     return n >= 0 and 0 <= d <= 2 * n
 
 
+def _shifted(e: tuple, i: int, k: int) -> tuple:
+    return e[:i] + (e[i] + k,) + e[i + 1 :]
+
+
+def _image_terms(g: Generator, e: tuple) -> list:
+    """The image of the monomial e = (a1, a2, b1, b2) under g, as (monomial, int) terms.
+
+    Read off the exponents: x_i raises a_i; d_i = d/dy_i lowers b_i with
+    factor b_i; mu+ = y1 + y2 raises b1 and b2; mu- = dx1 + dx2 lowers a1
+    and a2 with factors a1 and a2.  Terms whose factor is 0 are dropped.
+    """
+    if g.kind == "x":
+        return [(_shifted(e, g.index - 1, 1), 1)]
+    if g.kind == "mu+":
+        return [(_shifted(e, 2, 1), 1), (_shifted(e, 3, 1), 1)]
+    slots = (g.index + 1,) if g.kind == "d" else (0, 1)
+    return [(_shifted(e, i, -1), e[i]) for i in slots if e[i]]
+
+
 @lru_cache(maxsize=None)
 def operator_columns(g: Generator, n: int, d: int) -> tuple:
     """Sparse matrix of a generator from piece (n, d), one column per basis class.
 
     Column j lists (row, coeff) pairs over the canonical basis of the target
     piece (n, d) + bidegree(g); an out-of-range target gives all-empty
-    columns.  Columns are sparse because a generator sends most basis
+    columns.  Each column is read off the exponents of its basis monomial
+    (``_image_terms``) and reduced term by term with ``_normal_form``, all
+    in ``int``; ``apply_generator`` is the independent route through the
+    Weyl algebra.  Columns are sparse because a generator sends most basis
     monomials to non-pivot monomials, where no reduction happens.
     """
     src = piece_data(n, d)
@@ -226,15 +264,14 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
     n2, d2 = n + dn, d + dd
     if not _piece_in_range(n2, d2):
         return tuple(() for _ in src.basis)
-    tgt = piece_data(n2, d2)
-    tgt_index = {e: i for i, e in enumerate(tgt.basis)}
-    op = generator_element(g, M)
+    _check_index(g)
+    tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2).basis)}
     cols = []
     for e in src.basis:
-        image = reduce_poly(op.act(Poly.monomial(M, e)), (n2, d2))
-        cols.append(
-            tuple(sorted((tgt_index[f], c) for f, c in image.rep.coeffs.items()))
-        )
+        image: dict = {}
+        for f, c in _image_terms(g, e):
+            add_into(image, _normal_form(f), c)
+        cols.append(tuple(sorted((tgt_index[f], c) for f, c in image.items())))
     return tuple(cols)
 
 

@@ -6,6 +6,9 @@ no linear solve, since its membership test reads coefficients off.
 ``RatMatrix`` is the dense matrix the older tests were written against.
 ``u_preservation_checks`` acts by every generator on random rational
 elements of the node's submodule U and checks that the result reduces to 0.
+``weyl_operator_columns`` builds a generator's sparse columns on one piece
+through ``apply_generator``, which acts by the generator's Weyl algebra
+element and reduces, independently of the package's exponent read-off.
 """
 
 from dataclasses import dataclass
@@ -13,8 +16,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from nodehilb.exact import Poly, kernel_basis, monomial_key, rref
-from nodehilb.nodemodule import M, reduce_poly, u_generator_poly
-from nodehilb.weyl import generator_element, generators
+from nodehilb.nodemodule import (
+    M,
+    NodeClass,
+    apply_generator,
+    piece_data,
+    reduce_poly,
+    u_generator_poly,
+)
+from nodehilb.weyl import Generator, generator_element, generators
 
 
 @dataclass(frozen=True)
@@ -125,3 +135,14 @@ def u_preservation_checks(count: int, rng) -> list[bool]:
                 continue
             results.append(reduce_poly(acted).is_zero())
     return results
+
+
+def weyl_operator_columns(g: Generator, n: int, d: int) -> tuple:
+    """The columns of ``nodemodule.operator_columns`` through ``apply_generator``."""
+    n2, d2 = n + g.bidegree[0], d + g.bidegree[1]
+    tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2).basis)}
+    cols = []
+    for e in piece_data(n, d).basis:
+        image = apply_generator(g, NodeClass(Poly.monomial(M, e), n, d))
+        cols.append(tuple(sorted((tgt_index[f], c) for f, c in image.rep.coeffs.items())))
+    return tuple(cols)

@@ -118,21 +118,60 @@ def test_node_suite_catches_a_missing_fundamental_class(capsys, monkeypatch):
 
 def test_node_suite_catches_a_normal_form_without_its_sum(capsys, monkeypatch, fresh_caches):
     # x1^A x2^B y1^C rewritten to x2^(A+B) y1^C alone: no longer a coset member
-    def truncated(p, grade=None):
-        coeffs: dict = {}
-        for e, c in p.coeffs.items():
-            if nodemodule._is_pivot(e):
-                a, b, s, _ = e
-                e = (0, a + b, s, 0)
-            coeffs[e] = coeffs.get(e, 0) + c
-        return nodemodule.NodeClass(Poly(2, coeffs), *(p.bidegree() or grade))
+    real = nodemodule._normal_form
 
-    monkeypatch.setattr(nodemodule, "reduce_poly", truncated)
+    def truncated(e):
+        if nodemodule._is_pivot(e):
+            a, b, s, _ = e
+            return [((0, a + b, s, 0), 1)]
+        return real(e)
+
+    monkeypatch.setattr(nodemodule, "_normal_form", truncated)
     code, report = verify(capsys, "node", "--n-max", "6")
     assert code == 1
     failures = failures_of(report, "relation-matrices")
     assert {"name": "[x1,mu+]=0", "n": 0, "d": 0} in failures
     assert all(0 <= f["n"] <= 6 and 0 <= f["d"] <= 2 * f["n"] for f in failures)
+
+
+def test_node_suite_catches_a_miscounted_mu_minus_image(capsys, monkeypatch, fresh_caches):
+    # mu- = dx1 + dx2 read off with a2 + 1 instead of a2 on its x2 term
+    real = nodemodule._image_terms
+
+    def miscounted(g, e):
+        terms = real(g, e)
+        if g == Generator("mu-"):
+            return [(f, c + 1 if f[1] < e[1] else c) for f, c in terms]
+        return terms
+
+    monkeypatch.setattr(nodemodule, "_image_terms", miscounted)
+    code, report = verify(capsys, "node", "--n-max", "6")
+    assert code == 1
+    failures = failures_of(report, "relation-matrices")
+    assert {"name": "[mu-,x1]=id", "n": 1, "d": 2} in failures
+    assert all(0 <= f["n"] <= 6 and 0 <= f["d"] <= 2 * f["n"] for f in failures)
+
+
+def only_failing_check(report):
+    (failed,) = [c["check"] for c in report["checks"] if c["status"] != "pass"]
+    return failed
+
+
+def test_node_suite_catches_a_wrong_dimension(capsys, monkeypatch):
+    real = nodemodule.dim_piece
+    monkeypatch.setattr(nodemodule, "dim_piece", lambda n, d: real(n, d) + ((n, d) == (3, 2)))
+    code, report = verify(capsys, "node", "--n-max", "6")
+    assert code == 1
+    assert only_failing_check(report) == "dimension-table-matches-closed-form"
+
+
+def test_node_suite_catches_a_lost_second_branch(capsys, monkeypatch):
+    # every y_i is y1: y2 (x1 - x2) no longer differs from y1 (x1 - x2), and
+    # (y1 + y2)(x1 - x2) = 2 y1 (x1 - x2) leaves U
+    monkeypatch.setattr(Poly, "y", classmethod(lambda cls, m, i: cls.variable(m, m)))
+    code, report = verify(capsys, "node", "--n-max", "6")
+    assert code == 1
+    assert only_failing_check(report) == "no-extension-witness"
 
 
 def test_series_suite_catches_a_widened_pivot_rule(capsys, monkeypatch, fresh_caches):

@@ -1,11 +1,15 @@
 """The quotient module of the node: reduction, dimensions, actions, checks."""
 
+import ast
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from nodehilb import nodemodule
 from nodehilb.exact import Poly
 from nodehilb.nodemodule import (
     NodeClass,
@@ -27,7 +31,7 @@ from nodehilb.nodemodule import (
     u_generator_poly,
 )
 from nodehilb.weyl import Generator, generators
-from oracles import span_solve, u_preservation_checks
+from oracles import span_solve, u_preservation_checks, weyl_operator_columns
 
 X1, X2, Y1, Y2 = Poly.x(2, 1), Poly.x(2, 2), Poly.y(2, 1), Poly.y(2, 2)
 
@@ -292,6 +296,22 @@ class TestOperatorIdentities:
                 for d in range(0, 2 * n + 1, 2):
                     for col in operator_columns(g, n, d):
                         assert all(type(c) is int for _, c in col), (g, n, d)
+
+    def test_operator_columns_equal_the_weyl_route(self):
+        # the exponent read-off against acting by the Weyl algebra element
+        for g in generators(2):
+            for n in range(17):
+                for d in range(0, 2 * n + 1, 2):
+                    assert operator_columns(g, n, d) == weyl_operator_columns(g, n, d), (g, n, d)
+
+    def test_operator_columns_do_not_act_through_the_weyl_algebra(self):
+        # two routes that share the action would not check each other
+        banned = {"generator_element", "WeylOp", "act", "reduce_poly", "Poly"}
+        for func in (nodemodule.operator_columns, nodemodule._image_terms, nodemodule._shifted):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            assert not names & banned, (func.__name__, names & banned)
 
     def test_unit_commutator_on_one_piece(self):
         # [d1, mu+] as honest matrices on the (2, 2) piece
