@@ -75,9 +75,17 @@ def run_betti(n_max: int, fmt: str) -> int:
     table = nodemodule.betti_table(n_max)
     rows = [[table[n][j] for j in range(n + 1)] for n in range(n_max + 1)]
     closed = series.closed_form_pv(n_max)
-    ok = all(
-        rows[n][j] == closed.c[n][j] for n in range(n_max + 1) for j in range(n + 1)
+    mismatch = next(
+        ((n, j) for n in range(n_max + 1) for j in range(n + 1) if rows[n][j] != closed.c[n][j]),
+        None,
     )
+    ok = mismatch is None
+    if not ok:
+        n, j = mismatch
+        print(
+            f"error: betti n={n} j={j}: enumerated {rows[n][j]}, closed form {closed.c[n][j]}",
+            file=sys.stderr,
+        )
     if fmt == "plain":
         _emit("\n".join(" ".join(str(v) for v in row) for row in rows))
     elif fmt == "csv":

@@ -22,7 +22,7 @@ Linear algebra (row reduction and kernels) runs through one sparse
 elimination core on integer rows ``{column: int}``: rational rows are
 scaled to integers first, rows are combined fraction-free as ``a*r - b*p``
 and divided by the gcd of their entries (Bareiss, Math. Comp. 22, 1968), and
-only the read-out of the reduced form divides by the pivots.
+only the read-out of the reduced form divides by the pivots; rank skips it.
 """
 
 from __future__ import annotations
@@ -380,6 +380,12 @@ def rref(mat) -> tuple[list, list[int]]:
         out = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in reduced]
         out += [{} for _ in range(zero_rows)]
     return out, [col for col, _ in reduced]
+
+
+def rank(mat, ncols: int | None = None) -> int:
+    """Exact rank by forward elimination alone, stopping early given ``ncols``."""
+    rows, ncols, _ = _normalise(mat, ncols)
+    return len(_echelon(rows, ncols))
 
 
 def kernel_basis(mat, ncols: int | None = None) -> list[tuple[Fraction, ...]]:

@@ -8,18 +8,24 @@ no linear solve, since its membership test reads coefficients off.
 elements of the node's submodule U and checks that the result reduces to 0.
 ``weyl_operator_columns`` builds a generator's sparse columns on one piece
 through ``apply_generator``, which acts by the generator's Weyl algebra
-element and reduces, independently of the package's exponent read-off.
+element and reduces, independently of the package's exponent read-off;
+``weyl_commutator_columns`` composes those columns one product at a time.
+``poly_generation_checks`` builds the generation rows by multiplying
+polynomials and reducing them, and ranks them through ``rref``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from nodehilb.exact import Poly, kernel_basis, monomial_key, rref
 from nodehilb.nodemodule import (
     M,
+    GenerationCheck,
     NodeClass,
     apply_generator,
+    fundamental_class,
     piece_data,
     reduce_poly,
     u_generator_poly,
@@ -137,8 +143,12 @@ def u_preservation_checks(count: int, rng) -> list[bool]:
     return results
 
 
+@lru_cache(maxsize=None)
 def weyl_operator_columns(g: Generator, n: int, d: int) -> tuple:
-    """The columns of ``nodemodule.operator_columns`` through ``apply_generator``."""
+    """The columns of ``nodemodule.operator_columns`` through ``apply_generator``.
+
+    Cached like the package's columns, since every commutator reuses them.
+    """
     n2, d2 = n + g.bidegree[0], d + g.bidegree[1]
     tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2).basis)}
     cols = []
@@ -146,3 +156,52 @@ def weyl_operator_columns(g: Generator, n: int, d: int) -> tuple:
         image = apply_generator(g, NodeClass(Poly.monomial(M, e), n, d))
         cols.append(tuple(sorted((tgt_index[f], c) for f, c in image.rep.coeffs.items())))
     return tuple(cols)
+
+
+def _compose(outer: tuple, inner: tuple) -> list[dict]:
+    """Sparse columns of ``outer`` after ``inner``, by plain dict arithmetic."""
+    out = []
+    for col in inner:
+        acc: dict = {}
+        for f, c in col:
+            for r, v in outer[f]:
+                acc[r] = acc.get(r, 0) + c * v
+        out.append(acc)
+    return out
+
+
+def weyl_commutator_columns(a: Generator, b: Generator, n: int, d: int) -> list[dict]:
+    """The columns of ``nodemodule.commutator_columns``: a b and b a, then their difference."""
+
+    def composed(second: Generator, first: Generator) -> list[dict]:
+        mid_n, mid_d = n + first.bidegree[0], d + first.bidegree[1]
+        outer = weyl_operator_columns(second, mid_n, mid_d)
+        return _compose(outer, weyl_operator_columns(first, n, d))
+
+    ab = composed(a, b)
+    ba = composed(b, a)
+    out = []
+    for x, y in zip(ab, ba):
+        diff = {r: x.get(r, 0) - y.get(r, 0) for r in x.keys() | y.keys()}
+        out.append({r: v for r, v in diff.items() if v})
+    return out
+
+
+def poly_generation_checks(n_max: int) -> list[GenerationCheck]:
+    """``nodemodule.generation_checks`` through polynomial products, ``reduce_poly`` and ``rref``."""
+    checks = []
+    for n in range(n_max + 1):
+        fcs = [fundamental_class(n, k) for k in range(n + 1)]
+        for K in range(n, n_max + 1):
+            data = piece_data(K, 2 * n)
+            index = {e: i for i, e in enumerate(data.basis)}
+            rows = []
+            for a in range(K - n + 1):
+                b = K - n - a
+                shift = Poly.monomial(M, (a, b, 0, 0))
+                for fc in fcs:
+                    v = reduce_poly(shift * fc.rep, (K, 2 * n))
+                    rows.append({index[e]: c for e, c in v.rep.coeffs.items()})
+            _, pivots = rref(rows)
+            checks.append(GenerationCheck(K, n, len(pivots), len(data.basis)))
+    return checks

@@ -23,8 +23,8 @@ def run(capsys, *argv):
 
 class TestBetti:
     def test_plain_golden(self, capsys):
-        code, out, _ = run(capsys, "betti", "--n-max", "5")
-        assert code == 0
+        code, out, err = run(capsys, "betti", "--n-max", "5")
+        assert code == 0 and err == ""
         assert out == KNOWN_TABLE
 
     def test_single_row(self, capsys):
@@ -42,6 +42,20 @@ class TestBetti:
         obj = json.loads(out)
         assert obj["status"] == "pass"
         assert obj["rows"][5]["coeffs"] == ["1", "6", "9", "10", "9", "6"]
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_mismatch_is_named_on_stderr(self, capsys, monkeypatch, fmt):
+        real = nodemodule.dim_piece
+        monkeypatch.setattr(nodemodule, "dim_piece", lambda n, d: real(n, d) + ((n, d) == (3, 2)))
+        code, out, err = run(capsys, "betti", "--n-max", "5", "--format", fmt)
+        assert code == 1
+        assert err == "error: betti n=3 j=1: enumerated 5, closed form 4\n"
+        if fmt == "plain":
+            assert out == KNOWN_TABLE.replace("1 4 5 4", "1 5 5 4")
+        elif fmt == "csv":
+            assert "3,1,5,5,4\n" in out
+        else:
+            assert json.loads(out)["status"] == "fail"
 
     def test_invalid_format(self, capsys):
         code, _, err = run(capsys, "betti", "--n-max", "2", "--format", "xml")

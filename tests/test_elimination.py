@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from nodehilb.exact import Poly, kernel_basis, rref
+from nodehilb import exact
+from nodehilb.exact import Poly, kernel_basis, rank, rref
 from nodehilb.nodemodule import (
     _is_pivot,
     piece_data,
@@ -132,6 +133,35 @@ def test_rref_and_kernel_match_dense_oracle(chunk):
         got_rows, got_pivots = rref(sparse(rows))
         assert (got_rows, got_pivots) == (sparse(want_rows), want_pivots)
         assert kernel_basis(sparse(rows), ncols) == want_kernel
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_rank_matches_dense_oracle(chunk):
+    for rows in MATRICES[chunk::5]:
+        ncols = len(rows[0]) if rows else 0
+        want = len(dense_rref([list(r) for r in rows])[1])
+        assert rank([list(r) for r in rows]) == want == len(rref(rows)[1])
+        assert rank(sparse(rows), ncols) == want == rank(sparse(rows))
+        assert rank(sparse(rows), ncols) + len(kernel_basis(sparse(rows), ncols)) == ncols
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert rank([]) == 0 and rank([], 3) == 0
+    assert rank([[0] * 4]) == 0
+    assert rank([{}, {}], 3) == 0
+
+
+def test_rank_stops_once_every_column_has_a_pivot(monkeypatch):
+    # the identity fills every column, so the two extra rows are never
+    # cancelled when the column count is known
+    calls = []
+    real = exact._cancel
+    monkeypatch.setattr(exact, "_cancel", lambda *a: calls.append(1) or real(*a))
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, -1, 5]]
+    assert rank(rows) == 3 and rank(sparse(rows), 3) == 3
+    assert not calls
+    assert rank(sparse(rows)) == 3
+    assert calls
 
 
 def test_input_rows_are_not_modified():

@@ -174,6 +174,24 @@ def test_node_suite_catches_a_lost_second_branch(capsys, monkeypatch):
     assert only_failing_check(report) == "no-extension-witness"
 
 
+def test_node_suite_catches_a_rank_that_stops_one_column_early(capsys, monkeypatch):
+    # the early stop of exact.rank fires one pivot too soon, so a piece whose
+    # translates span it all counts one short of its dimension; verify series
+    # also ranks through nodemodule.rank (dim_submodule), but U never has full
+    # column rank in a piece -- every piece of the quotient is nonzero -- so
+    # the stop is never reached there
+    real = nodemodule.rank
+    monkeypatch.setattr(nodemodule, "rank", lambda mat, ncols=None: real(mat, ncols - 1))
+    code, report = verify(capsys, "node", "--n-max", "6")
+    assert code == 1
+    assert only_failing_check(report) == "generation-by-fundamental-classes"
+    failures = failures_of(report, "generation-by-fundamental-classes")
+    assert failures[0] == {"points": 1, "row": 1, "rank": 1, "dim": 2}
+    assert all(f["rank"] == f["dim"] - 1 for f in failures)
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 0 and report["status"] == "pass"
+
+
 def test_series_suite_catches_a_widened_pivot_rule(capsys, monkeypatch, fresh_caches):
     # y2-exponent <= 1 also counted as pivot: the enumerated basis shrinks,
     # while the rank of U's spanning rows does not

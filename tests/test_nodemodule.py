@@ -15,6 +15,7 @@ from nodehilb.nodemodule import (
     NodeClass,
     apply_generator,
     betti_table,
+    commutator_columns,
     dim_ambient,
     dim_piece,
     dim_submodule,
@@ -31,7 +32,13 @@ from nodehilb.nodemodule import (
     u_generator_poly,
 )
 from nodehilb.weyl import Generator, generators
-from oracles import span_solve, u_preservation_checks, weyl_operator_columns
+from oracles import (
+    poly_generation_checks,
+    span_solve,
+    u_preservation_checks,
+    weyl_commutator_columns,
+    weyl_operator_columns,
+)
 
 X1, X2, Y1, Y2 = Poly.x(2, 1), Poly.x(2, 2), Poly.y(2, 1), Poly.y(2, 2)
 
@@ -250,6 +257,12 @@ class TestGeneration:
         assert by_key[(1, 0)].rank == 1 and by_key[(1, 0)].dim == 1
         assert by_key[(2, 1)].rank == 3 and by_key[(2, 1)].dim == 3
 
+    def test_generation_equals_the_polynomial_route(self):
+        # rows read off the exponents and ranked without read-out, against
+        # polynomial shifts reduced by reduce_poly and ranked through rref
+        for n_max in range(13):
+            assert generation_checks(n_max) == poly_generation_checks(n_max), n_max
+
 
 class TestNoExtension:
     def test_witness(self):
@@ -315,10 +328,18 @@ class TestOperatorIdentities:
 
     def test_unit_commutator_on_one_piece(self):
         # [d1, mu+] as honest matrices on the (2, 2) piece
-        from nodehilb.nodemodule import commutator_columns
-
         cols = commutator_columns(Generator("d", 1), Generator("mu+"), 2, 2)
         assert cols == [{i: 1} for i in range(dim_piece(2, 2))]
+
+    def test_commutator_columns_equal_the_weyl_route(self):
+        # one-pass accumulation against a b and b a composed separately from
+        # the Weyl-algebra columns, for all 36 ordered generator pairs
+        for n in range(11):
+            for d in range(0, 2 * n + 1, 2):
+                for a in generators(2):
+                    for b in generators(2):
+                        want = weyl_commutator_columns(a, b, n, d)
+                        assert commutator_columns(a, b, n, d) == want, (a, b, n, d)
 
 
 class TestUPreservation:
