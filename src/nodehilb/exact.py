@@ -3,9 +3,15 @@
 Coefficients are Python ``int`` wherever the values are integral and
 :class:`fractions.Fraction` (reduced, positive denominator) only where a
 division happens: in the read-out of the linear algebra below or in a caller
-that divides.  A sparse coefficient dict is built and accumulated in one
-place, :func:`as_exact` and :func:`add_into`, which the polynomial, operator
-and cohomology classes all share.  Nothing is ever rounded.
+that divides.  Nothing is ever rounded.
+
+Polynomials, Weyl operators (``weyl.WeylOp``) and cohomology classes
+(``geometry.CohClass``) are all sparse exact linear combinations, and share
+one class, :class:`Combination`: its constructor checks every key and drops
+zero coefficients, and it holds the sums, scalar and ring products, powers,
+equality and hashing once.  Each subclass adds only its key check, its unit
+and the product of two keys.  A sparse coefficient dict is accumulated in
+one place, :func:`add_into`.
 
 Polynomials live in Q[x1..xm, y1..ym].  A monomial is a flat exponent tuple
 of length ``2m`` (x-exponents first, then y-exponents), and carries the
@@ -79,44 +85,146 @@ def add_into(acc: dict, items: Iterable, scale=1) -> dict:
     return acc
 
 
-class Poly:
-    """Sparse polynomial in Q[x1..xm, y1..ym].
+class Combination:
+    """Sparse exact linear combination: ``coeffs`` maps keys to nonzero numbers.
+
+    The one implementation of the arithmetic that polynomials (:class:`Poly`),
+    Weyl operators (``weyl.WeylOp``) and cohomology classes
+    (``geometry.CohClass``) share.  ``m`` is the size every key is checked
+    against: the ambient variable count, or the level of a class.  A
+    subclass supplies
+
+    * ``_key(key)``: the key in canonical form, or ``ValueError`` if it is
+      not a key at ``m``;
+    * ``_unit(m)``: the key of 1, where constants exist;
+    * ``_mono_mul(k1, k2)``: the product of two keys as ``(key, int)``
+      pairs, where combinations multiply.
 
     Immutable by convention: no method mutates ``coeffs`` after
     construction, so instances may be shared freely across threads.
     """
 
     __slots__ = ("m", "coeffs")
+    _min_m = 1  # smallest size accepted; None accepts any
 
     def __init__(self, m: int, coeffs: dict | None = None):
-        if m < 1:
-            raise ValueError(f"ambient component count must be >= 1, got {m}")
+        if self._min_m is not None and m < self._min_m:
+            raise ValueError(f"ambient component count must be >= {self._min_m}, got {m}")
         self.m = m
         clean = {}
         if coeffs:
-            for exps, c in coeffs.items():
+            for key, c in coeffs.items():
                 c = as_exact(c)
-                if c == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != 2 * m or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for m={m}")
-                clean[exps] = c
+                if c:
+                    clean[self._key(key)] = c
         self.coeffs = clean
+
+    @classmethod
+    def _unit(cls, m: int):
+        raise TypeError(f"{cls.__name__} has no constants")
+
+    def _mono_mul(self, k1, k2):
+        raise TypeError(f"{type(self).__name__} has no product")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, m: int) -> "Poly":
+    def zero(cls, m: int):
         return cls(m)
 
     @classmethod
-    def constant(cls, m: int, c) -> "Poly":
-        return cls(m, {(0,) * (2 * m): c})
+    def constant(cls, m: int, c):
+        return cls(m, {cls._unit(m): c})
 
     @classmethod
-    def one(cls, m: int) -> "Poly":
+    def one(cls, m: int):
         return cls.constant(m, 1)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _check_same_size(self, other: "Combination"):
+        if self.m != other.m:
+            raise ValueError(f"mismatched {type(self).__name__} sizes: {self.m} vs {other.m}")
+
+    def _plus(self, other, scale):
+        if not isinstance(other, type(self)):
+            other = self.constant(self.m, other)
+        self._check_same_size(other)
+        return type(self)(self.m, add_into(dict(self.coeffs), other.coeffs.items(), scale))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return self.constant(self.m, other) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return type(self)(self.m, add_into({}, self.coeffs.items(), as_exact(other)))
+        self._check_same_size(other)
+        mono_mul = self._mono_mul
+        coeffs: dict = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                add_into(coeffs, mono_mul(k1, k2), c1 * c2)
+        return type(self)(self.m, coeffs)
+
+    # reached only with a scalar on the left: two combinations meet in __mul__
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = self.one(self.m)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.m == other.m and self.coeffs == other.coeffs
+        try:
+            return self.coeffs == self.constant(self.m, other).coeffs
+        except (TypeError, ValueError):
+            return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, frozenset(self.coeffs.items())))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __repr__(self):
+        return f"{type(self).__name__}(m={self.m}, {self})"
+
+
+class Poly(Combination):
+    """Sparse polynomial in Q[x1..xm, y1..ym], keyed by flat exponent tuples."""
+
+    __slots__ = ()
+
+    def _key(self, exps) -> Monomial:
+        exps = tuple(exps)
+        if len(exps) != 2 * self.m or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps} for m={self.m}")
+        return exps
+
+    @classmethod
+    def _unit(cls, m: int) -> Monomial:
+        return (0,) * (2 * m)
+
+    def _mono_mul(self, e1, e2):
+        return ((tuple(a + b for a, b in zip(e1, e2)), 1),)
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def monomial(cls, m: int, exps: Monomial, c=1) -> "Poly":
@@ -141,70 +249,7 @@ class Poly:
         """y_i with 1-based i."""
         return cls.variable(m, m + i - 1)
 
-    # -- ring structure ----------------------------------------------------
-
-    def _check_same_ambient(self, other: "Poly"):
-        if self.m != other.m:
-            raise ValueError(f"mismatched ambient variable count: {self.m} vs {other.m}")
-
-    def _plus(self, other, scale) -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.m, other)
-        self._check_same_ambient(other)
-        return Poly(self.m, add_into(dict(self.coeffs), other.coeffs.items(), scale))
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.m, add_into({}, self.coeffs.items(), -1))
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return Poly.constant(self.m, other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return Poly(self.m, add_into({}, self.coeffs.items(), as_exact(other)))
-        self._check_same_ambient(other)
-        coeffs: dict = {}
-        for e1, c1 in self.coeffs.items():
-            add_into(
-                coeffs,
-                ((tuple(a + b for a, b in zip(e1, e2)), c2) for e2, c2 in other.coeffs.items()),
-                c1,
-            )
-        return Poly(self.m, coeffs)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.m)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.m == other.m and self.coeffs == other.coeffs
-        try:
-            return self.coeffs == Poly.constant(self.m, other).coeffs
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.coeffs.items())))
-
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coefficient(self, exps: Monomial):
         return self.coeffs.get(tuple(exps), 0)
@@ -244,9 +289,6 @@ class Poly:
 
     def __str__(self):
         return render_terms(self.terms(), self.var_names())
-
-    def __repr__(self):
-        return f"Poly(m={self.m}, {self})"
 
 
 def render_terms(terms, names: Sequence[str]) -> str:

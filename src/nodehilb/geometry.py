@@ -19,7 +19,9 @@ either branch embeds level n into level n+1; the induced pullbacks act
 basis-wise (a^i b^j -> a^i b^j, zeta a^i b^j -> zeta a^i b^j), with the
 first-branch map preserving the component index and the second-branch map
 lowering it by one; any image whose exponents leave the target ranges is
-zero, since the target ring has no such class.
+zero, since the target ring has no such class.  A class of level n is a
+``CohClass``, an ``exact.Combination`` of basis classes that all lie at
+level n; the pullbacks and the kernels are written in it.
 
 The module also carries the affine paving of the schemes of points: cells
 are indexed by points on the two smooth loci plus a cell of the punctual
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import nodemodule
-from .exact import add_into, as_exact, frac_str, kernel_basis
+from .exact import Combination, add_into, frac_str, kernel_basis
 from .series import intersection_poincare
 
 
@@ -112,49 +114,25 @@ def poincare_from_basis(n: int, k: int) -> list[int]:
     return out
 
 
-class CohClass:
-    """Exact linear combination of basis classes at one level n."""
+class CohClass(Combination):
+    """Exact linear combination of basis classes at one level ``n``.
 
-    __slots__ = ("n", "coeffs")
+    The level is the size ``m`` of :class:`exact.Combination`, which holds
+    the arithmetic; every basis class must be at it.  Classes add and scale
+    but do not multiply, and levels are not range-checked.
+    """
 
-    def __init__(self, n: int, coeffs: dict | None = None):
-        self.n = n
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = as_exact(c)
-                if c == 0:
-                    continue
-                if e.n != n:
-                    raise ValueError(f"class {e} is not at level {n}")
-                clean[e] = c
-        self.coeffs = clean
+    __slots__ = ()
+    _min_m = None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def n(self) -> int:
+        return self.m
 
-    def _plus(self, other: "CohClass", scale) -> "CohClass":
-        if self.n != other.n:
-            raise ValueError("classes live at different levels")
-        return CohClass(self.n, add_into(dict(self.coeffs), other.coeffs.items(), scale))
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return self._plus(other, -1)
-
-    def __mul__(self, scalar) -> "CohClass":
-        return CohClass(self.n, add_into({}, self.coeffs.items(), as_exact(scalar)))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohClass)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+    def _key(self, e: CohElem) -> CohElem:
+        if e.n != self.m:
+            raise ValueError(f"class {e} is not at level {self.m}")
+        return e
 
     def sorted_terms(self):
         return sorted(

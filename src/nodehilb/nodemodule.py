@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact import Poly, add_into, kernel_basis, monomial_key, rank
+from .exact import Poly, add_into, monomial_key, rank
 from .weyl import Generator, generator_element
 
 M = 2  # the node has two branches; everything in this module is at m = 2
@@ -358,13 +358,10 @@ def injectivity_checks(n_max: int) -> list[PieceCheck]:
         for n in range(n_max + 1):
             for j in range(n + 1):
                 d = 2 * j
-                # rows of the matrix: the sparse columns transposed
+                # injective iff the columns are independent in the target piece
                 cols = operator_columns(g, n, d)
-                rows: dict = {}
-                for k, col in enumerate(cols):
-                    for i, c in col:
-                        rows.setdefault(i, {})[k] = c
-                ok = not kernel_basis([rows[i] for i in sorted(rows)], len(cols))
+                target = piece_data(n + g.bidegree[0], d + g.bidegree[1]).basis
+                ok = rank([dict(col) for col in cols], len(target)) == len(cols)
                 checks.append(PieceCheck(f"mult-by-{g}-injective", n, d, ok))
     return checks
 

@@ -64,9 +64,6 @@ class Series2:
                 s.c[i][j] = v
         return s
 
-    def coefficient(self, n: int, j: int):
-        return self.c[n][j]
-
     def row(self, n: int) -> list:
         """Coefficients of q^n for j = 0..n (degrees beyond 2n are zero here)."""
         return [self.c[n][j] for j in range(n + 1)]
@@ -133,7 +130,7 @@ def series_equal(a: Series2, b: Series2) -> tuple[bool, tuple[int, int] | None]:
 
 @dataclass(frozen=True)
 class RationalFunction2:
-    """Ratio of exact polynomials in q and t^2, expandable as a power series."""
+    """Ratio of exact polynomials in q and t^2, expanded as a power series by :func:`expand`."""
 
     num: tuple
     den: tuple
@@ -141,9 +138,6 @@ class RationalFunction2:
     @classmethod
     def make(cls, num: Poly2, den: Poly2) -> "RationalFunction2":
         return cls(tuple(sorted(num.items())), tuple(sorted(den.items())))
-
-    def expand(self, order: int) -> Series2:
-        return expand(self, order)
 
 
 def poly2_mul(p: Poly2, q: Poly2) -> Poly2:

@@ -5,8 +5,10 @@ multiplication operators x_i, y_i and the derivations dx_i = d/dx_i,
 dy_i = d/dy_i, subject to [dx_i, x_i] = [dy_i, y_i] = 1 with all other
 pairs commuting.  Elements are stored in normal form: every word is a sum
 of monomials x^a y^b dx^g dy^d (all position operators before all
-derivations), keyed by the four exponent tuples.  Products are computed by
-the closed form of the rewriting rule du*u -> u*du + 1,
+derivations), keyed by the four exponent tuples.  ``WeylOp`` takes its
+sums, scalars, powers and equality from ``exact.Combination`` and supplies
+only the key check, the unit and the product of two normal monomials, which
+is the closed form of the rewriting rule du*u -> u*du + 1,
 
     dx^g x^a = sum_j C(g, j) * a!/(a-j)! * x^(a-j) dx^(g-j),
 
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly, add_into, as_exact, render_terms
+from .exact import Combination, Poly, add_into, render_terms
 
 GENERATOR_BIDEGREES = {"x": (1, 0), "d": (-1, -2), "mu+": (1, 2), "mu-": (-1, 0)}
 
@@ -86,48 +88,34 @@ def _bump(t, i):
     return tuple(lst)
 
 
-class WeylOp:
+class WeylOp(Combination):
     """Element of the Weyl algebra in normal form.
 
-    ``terms`` maps (a, b, g, d) -- four exponent tuples of length m, for
+    ``coeffs`` maps (a, b, g, d) -- four exponent tuples of length m, for
     x^a y^b dx^g dy^d -- to a nonzero exact coefficient (``int`` where
-    integral, else ``Fraction``).  Instances are never mutated after
-    construction.
+    integral, else ``Fraction``).  Sums, scalars, powers and equality are
+    those of :class:`exact.Combination`; the product of two normal
+    monomials is the closed form :func:`_mono_mul`.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
 
-    def __init__(self, m: int, terms: dict | None = None):
-        if m < 1:
-            raise ValueError(f"ambient component count must be >= 1, got {m}")
-        self.m = m
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = as_exact(c)
-                if c == 0:
-                    continue
-                a, b, g, d = (tuple(t) for t in key)
-                for t in (a, b, g, d):
-                    if len(t) != m or any(e < 0 for e in t):
-                        raise ValueError(f"bad normal monomial {key} for m={m}")
-                clean[(a, b, g, d)] = c
-        self.terms = clean
+    def _key(self, key):
+        key = tuple(tuple(t) for t in key)
+        if len(key) != 4 or any(len(t) != self.m or any(e < 0 for e in t) for t in key):
+            raise ValueError(f"bad normal monomial {key} for m={self.m}")
+        return key
+
+    @classmethod
+    def _unit(cls, m: int):
+        return (_zeros(m),) * 4
+
+    def _mono_mul(self, k1, k2):
+        # the module attribute is looked up on each call, so that a patched
+        # _mono_mul reaches every product
+        return _mono_mul(k1, k2, self.m)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, m: int) -> "WeylOp":
-        return cls(m)
-
-    @classmethod
-    def constant(cls, m: int, c) -> "WeylOp":
-        z = _zeros(m)
-        return cls(m, {(z, z, z, z): c})
-
-    @classmethod
-    def one(cls, m: int) -> "WeylOp":
-        return cls.constant(m, 1)
 
     @classmethod
     def _single(cls, m: int, slot: int, i: int) -> "WeylOp":
@@ -153,73 +141,11 @@ class WeylOp:
     def dy(cls, m: int, i: int) -> "WeylOp":
         return cls._single(m, 3, i)
 
-    # -- algebra -----------------------------------------------------------
-
-    def _check_same_ambient(self, other: "WeylOp"):
-        if self.m != other.m:
-            raise ValueError(f"mismatched ambient variable count: {self.m} vs {other.m}")
-
-    def _plus(self, other, scale) -> "WeylOp":
-        if not isinstance(other, WeylOp):
-            other = WeylOp.constant(self.m, other)
-        self._check_same_ambient(other)
-        return WeylOp(self.m, add_into(dict(self.terms), other.terms.items(), scale))
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylOp(self.m, add_into({}, self.terms.items(), -1))
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return WeylOp.constant(self.m, other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, WeylOp):
-            return WeylOp(self.m, add_into({}, self.terms.items(), as_exact(other)))
-        self._check_same_ambient(other)
-        terms: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                add_into(terms, _mono_mul(k1, k2, self.m), c1 * c2)
-        return WeylOp(self.m, terms)
-
-    def __rmul__(self, other):
-        # only reached for scalars; operators always hit __mul__
-        return self * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of an operator")
-        result = WeylOp.one(self.m)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, WeylOp):
-            return self.m == other.m and self.terms == other.terms
-        try:
-            return self.terms == WeylOp.constant(self.m, other).terms
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def bernstein_degree(self) -> int:
         """Total degree in all 4m symbols; 0 for the zero operator."""
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return max(sum(sum(t) for t in key) for key in self.terms)
+        return max(sum(sum(t) for t in key) for key in self.coeffs)
 
     # -- module action -----------------------------------------------------
 
@@ -229,7 +155,7 @@ class WeylOp:
             raise ValueError(f"mismatched ambient variable count: {self.m} vs {p.m}")
         m = self.m
         out = Poly.zero(m)
-        for (a, b, g, d), c in self.terms.items():
+        for (a, b, g, d), c in self.coeffs.items():
             q = p
             for i, e in enumerate(g):
                 for _ in range(e):
@@ -253,13 +179,10 @@ class WeylOp:
             + [f"dy{i}" for i in range(1, m + 1)]
         )
         flat = {}
-        for (a, b, g, d), c in self.terms.items():
+        for (a, b, g, d), c in self.coeffs.items():
             flat[a + b + g + d] = c
         terms = sorted(flat.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
         return render_terms(terms, names)
-
-    def __repr__(self):
-        return f"WeylOp(m={self.m}, {self})"
 
 
 def _falling(a: int, j: int) -> int:
@@ -417,9 +340,9 @@ def subalgebra_membership(w: WeylOp) -> dict[SubalgebraWord, int | Fraction] | N
     rest = _zeros(m - 1)
     expansion = {}
     rebuilt: dict = {}
-    for wd in {SubalgebraWord(a, sum(b), d, sum(g)) for (a, b, g, d) in w.terms}:
-        c = w.terms.get((wd.alpha, (wd.s,) + rest, (wd.r,) + rest, wd.delta), 0)
+    for wd in {SubalgebraWord(a, sum(b), d, sum(g)) for (a, b, g, d) in w.coeffs}:
+        c = w.coeffs.get((wd.alpha, (wd.s,) + rest, (wd.r,) + rest, wd.delta), 0)
         if c:
             expansion[wd] = c
-            add_into(rebuilt, wd.to_weyl(m).terms.items(), c)
-    return expansion if rebuilt == w.terms else None
+            add_into(rebuilt, wd.to_weyl(m).coeffs.items(), c)
+    return expansion if rebuilt == w.coeffs else None

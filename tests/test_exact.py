@@ -226,12 +226,61 @@ class TestCoefficientTypes:
             stored = [
                 Poly(2, {x1: c}).coeffs[x1],
                 (Poly.x(2, 1) * c).coeffs[x1],
-                WeylOp(2, {key: c}).terms[key],
-                (WeylOp(2, {key: 1}) * c).terms[key],
+                WeylOp(2, {key: c}).coeffs[key],
+                (WeylOp(2, {key: 1}) * c).coeffs[key],
                 CohClass(1, {e: c}).coeffs[e],
                 (CohClass(1, {e: 1}) * c).coeffs[e],
             ]
             assert all(type(v) is kind and v == Fraction(c) for v in stored), (c, stored)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Poly(2, {(1, 0, 0): 1}),  # three exponents at m = 2
+            lambda: Poly(2, {(1, 0, 0, -1): 1}),
+            lambda: WeylOp(2, {((1, 0), (0, 0), (0, 0)): 1}),  # three exponent tuples
+            lambda: WeylOp(2, {((1,), (0, 0), (0, 0), (0, 0)): 1}),
+            lambda: WeylOp(2, {((0, 0), (0, 0), (0, -1), (0, 0)): 1}),
+            lambda: CohClass(2, {CohElem(1, 0, "plain", 1, 0): 1}),  # a class at level 1
+        ],
+    )
+    def test_bad_key_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
+# The arithmetic every sparse combination shares, written once on
+# exact.Combination; the subclasses add only their keys, units and products.
+SHARED_ARITHMETIC = {
+    "__init__", "_plus", "__add__", "__sub__", "__neg__", "__mul__", "__pow__",
+    "__eq__", "__hash__", "is_zero", "zero", "constant", "one",
+}
+
+
+def class_members(package: Path) -> dict:
+    """Class name -> (base names, names bound in the class body)."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = set()
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        names.add(item.name)
+                    elif isinstance(item, ast.Assign):
+                        names |= {t.id for t in item.targets if isinstance(t, ast.Name)}
+                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                found[node.name] = (bases, names)
+    return found
+
+
+def test_combination_arithmetic_is_written_once():
+    classes = class_members(Path(nodehilb.__file__).parent)
+    assert SHARED_ARITHMETIC <= classes["Combination"][1]
+    for name in ("Poly", "WeylOp", "CohClass"):
+        bases, names = classes[name]
+        assert bases == {"Combination"}, name
+        assert not names & SHARED_ARITHMETIC, (name, names & SHARED_ARITHMETIC)
 
 
 # Where a coefficient may become a Fraction: a division, or the coercion of

@@ -83,6 +83,20 @@ def test_kernel_suite_catches_equal_pullbacks(capsys, monkeypatch):
     assert (6, 6) in located and (2, 2) in located
 
 
+def test_kernel_suite_catches_a_kernel_vector_rescaled_to_zero(capsys, monkeypatch):
+    # every kernel vector times 0: the class built from it drops its zero
+    # coefficients and is 0, so each component with a top zeta class fails
+    real = geometry.kernel_basis
+    monkeypatch.setattr(
+        geometry, "kernel_basis", lambda rows, ncols: [tuple(0 * c for c in v) for v in real(rows, ncols)]
+    )
+    code, report = verify(capsys, "kernel", "--n-max", "6")
+    assert code == 1 and report["status"] == "fail"
+    assert report["failures"][0] == {"n": 2, "k": 1, "got": ["0"]}
+    assert len(report["failures"]) == 15  # 1 <= k <= n-1 for n = 2..6
+    assert all(f["got"] == ["0"] for f in report["failures"])
+
+
 def test_node_suite_catches_a_lost_x1_column(capsys, monkeypatch):
     real = nodemodule.operator_columns
 

@@ -118,13 +118,13 @@ class TestNormalOrdering:
             w1, w2 = random_word(rng, m), random_word(rng, m)
             product = word_to_op(w1, m) * word_to_op(w2, m)
             oracle = naive_normal_form({w1 + w2: Fraction(1)}, m)
-            assert product.terms == oracle
+            assert product.coeffs == oracle
 
     def test_normal_form_idempotent(self):
         rng = random.Random(5)
         for _ in range(100):
             op = random_op(rng, 2)
-            assert WeylOp(op.m, dict(op.terms)) == op
+            assert WeylOp(op.m, dict(op.coeffs)) == op
 
     def test_associativity_500_triples(self):
         rng = random.Random(1001)
@@ -281,9 +281,9 @@ def exhaustive_membership(w):
                     if word.degree() <= bound:
                         candidates.append(word)
     expansions = [wd.to_weyl(m) for wd in candidates]
-    support = sorted({key for e in expansions for key in e.terms} | set(w.terms))
-    columns = [[e.terms.get(k, Fraction(0)) for k in support] for e in expansions]
-    rhs = [w.terms.get(k, Fraction(0)) for k in support]
+    support = sorted({key for e in expansions for key in e.coeffs} | set(w.coeffs))
+    columns = [[e.coeffs.get(k, Fraction(0)) for k in support] for e in expansions]
+    rhs = [w.coeffs.get(k, Fraction(0)) for k in support]
     sol = solve_columns(columns, rhs)
     if sol is None:
         return None
@@ -356,7 +356,7 @@ class TestSubalgebraMembership:
     def test_word_expansion_is_bernstein_homogeneous(self):
         word = SubalgebraWord((1, 0), 2, (0, 1), 1)
         op = word.to_weyl(2)
-        assert {sum(sum(t) for t in key) for key in op.terms} == {word.degree()}
+        assert {sum(sum(t) for t in key) for key in op.coeffs} == {word.degree()}
 
     def test_against_exhaustive_oracle(self):
         rng = random.Random(1414)
