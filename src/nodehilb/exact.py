@@ -197,6 +197,12 @@ class Combination:
             return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar (see __eq__), so it hashes like one
+        try:
+            if len(self.coeffs) <= 1 and self.coeffs.keys() <= {self._unit(self.m)}:
+                return hash(sum(self.coeffs.values()))
+        except TypeError:  # no constants
+            pass
         return hash((self.m, frozenset(self.coeffs.items())))
 
     def is_zero(self) -> bool:

@@ -167,12 +167,15 @@ def dim_ambient(n: int, d: int) -> int:
 
 def dim_submodule(n: int, d: int) -> int:
     """dim of the (n, d) piece of U (exact rank of its spanning set)."""
-    if n < 0 or d < 0 or d % 2 != 0:
+    gens = u_generator_exponents(n, d)
+    if not gens:
         return 0
+    # (y1+y2)^s (x1-x2) once per piece, then one monomial shift per element
+    tail = (Poly.y(M, 1) + Poly.y(M, 2)) ** (d // 2) * (Poly.x(M, 1) - Poly.x(M, 2))
     index = {e: i for i, e in enumerate(piece_monomials(n, d))}
     rows = [
-        {index[e]: c for e, c in u_generator_poly(a, b, s).coeffs.items()}
-        for a, b, s in u_generator_exponents(n, d)
+        {index[e]: c for e, c in (Poly.monomial(M, (a, b, 0, 0)) * tail).coeffs.items()}
+        for a, b, _ in gens
     ]
     return rank(rows, len(index))
 

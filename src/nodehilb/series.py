@@ -16,9 +16,10 @@ coefficient:
   * the inclusion-exclusion (Mayer-Vietoris) sum over the irreducible
     components of the scheme of n points and their pairwise intersections,
     whose Poincare polynomials are products of two all-ones polynomials,
-    read off by counting: the coefficient of t^(2j) in
-    (1+..+t^(2(a-1)))(1+..+t^(2(b-1))) is min(j, a-1, b-1, a+b-2-j) + 1
-    for 0 <= j <= a+b-2, and 0 otherwise,
+    found by counting: u^s (1+..+u^(a-1))(1+..+u^(b-1)), u = t^2, is
+    u^s (1-u^a)(1-u^b) / (1-u)^2, so each adds four +-1 point masses to an
+    int array (+1 at s and s+a+b, -1 at s+a and s+b), and two running sums
+    of the array give the row,
   * the product of the punctual factor 1 + sum_{c>=1} q^c (1 + (c-1) t^2)
     with the smooth-locus factor 1/(1-q t^2)^2.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import nodemodule
 from .exact import frac_str
@@ -207,15 +209,25 @@ def closed_form_pv(order: int) -> Series2:
 # -- route two: inclusion-exclusion over components ---------------------------
 
 
-def _box_count(a: int, b: int, j: int) -> int:
-    """Coefficient of t^(2j) in (1+..+t^(2(a-1))) (1+..+t^(2(b-1))).
+def _add_box(acc: list[int], a: int, b: int, shift: int = 0, sign: int = 1) -> list[int]:
+    """Add sign times the point masses of u^shift (1-u^a)(1-u^b), u = t^2, to ``acc``.
 
-    The number of (u, v) with u + v = j, 0 <= u < a and 0 <= v < b; zero
-    when either factor is empty.
+    Masses past the end of ``acc`` cannot reach it and are dropped.
     """
-    if not 0 <= j <= a + b - 2:
-        return 0
-    return min(j, a - 1, b - 1, a + b - 2 - j) + 1
+    for i, v in ((shift, sign), (shift + a, -sign), (shift + b, -sign), (shift + a + b, sign)):
+        if i < len(acc):
+            acc[i] += v
+    return acc
+
+
+def _component_masses(acc: list[int], n: int, k: int) -> list[int]:
+    """Add the masses of component k at n: the blown-up product and the exceptional divisor."""
+    return _add_box(_add_box(acc, n - k + 1, k + 1), k, n - k, shift=1)
+
+
+def _running_sums(acc: list[int]) -> list[int]:
+    """Divide point masses by (1-u)^2: two running sums."""
+    return list(accumulate(accumulate(acc)))
 
 
 def component_poincare(n: int, k: int) -> list[int]:
@@ -228,7 +240,7 @@ def component_poincare(n: int, k: int) -> list[int]:
     """
     if not 0 <= k <= n:
         raise ValueError(f"component index {k} out of range for n={n}")
-    return [_box_count(n - k + 1, k + 1, j) + _box_count(k, n - k, j - 1) for j in range(n + 1)]
+    return _running_sums(_component_masses([0] * (n + 1), n, k))
 
 
 def intersection_poincare(n: int, k: int) -> list[int]:
@@ -238,20 +250,19 @@ def intersection_poincare(n: int, k: int) -> list[int]:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"intersection index {k} out of range for n={n}")
-    return [_box_count(k + 1, n - k, j) for j in range(n)]
+    return _running_sums(_add_box([0] * n, k + 1, n - k))
 
 
 def mv_pv(order: int) -> Series2:
     """Series assembled row by row from components minus intersections."""
     out = Series2(order)
     for n in range(order + 1):
-        row = out.c[n]
+        acc = [0] * (n + 1)
         for k in range(n + 1):
-            for j, v in enumerate(component_poincare(n, k)):
-                row[j] += v
+            _component_masses(acc, n, k)
         for k in range(n):
-            for j, v in enumerate(intersection_poincare(n, k)):
-                row[j] -= v
+            _add_box(acc, k + 1, n - k, sign=-1)
+        out.c[n][: n + 1] = _running_sums(acc)
     return out
 
 

@@ -12,6 +12,9 @@ element and reduces, independently of the package's exponent read-off;
 ``weyl_commutator_columns`` composes those columns one product at a time.
 ``poly_generation_checks`` builds the generation rows by multiplying
 polynomials and reducing them, and ranks them through ``rref``.
+``poly_dim_submodule`` ranks the spanning elements of U, each built whole by
+``u_generator_poly``.  ``box_count_mv_pv`` sums the Mayer-Vietoris rows
+coefficient by coefficient with the trapezoid count ``box_count``.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from nodehilb.exact import Poly, kernel_basis, monomial_key, rref
+from nodehilb.exact import Poly, kernel_basis, monomial_key, rank, rref
 from nodehilb.nodemodule import (
     M,
     GenerationCheck,
@@ -27,9 +30,12 @@ from nodehilb.nodemodule import (
     apply_generator,
     fundamental_class,
     piece_data,
+    piece_monomials,
     reduce_poly,
+    u_generator_exponents,
     u_generator_poly,
 )
+from nodehilb.series import Series2
 from nodehilb.weyl import Generator, generator_element, generators
 
 
@@ -205,3 +211,37 @@ def poly_generation_checks(n_max: int) -> list[GenerationCheck]:
             _, pivots = rref(rows)
             checks.append(GenerationCheck(K, n, len(pivots), len(data.basis)))
     return checks
+
+
+def poly_dim_submodule(n: int, d: int) -> int:
+    """``nodemodule.dim_submodule`` with every spanning element rebuilt by ``u_generator_poly``."""
+    index = {e: i for i, e in enumerate(piece_monomials(n, d))}
+    rows = [
+        {index[e]: c for e, c in u_generator_poly(a, b, s).coeffs.items()}
+        for a, b, s in u_generator_exponents(n, d)
+    ]
+    return rank(rows, len(index))
+
+
+def box_count(a: int, b: int, j: int) -> int:
+    """Coefficient of t^(2j) in (1+..+t^(2(a-1))) (1+..+t^(2(b-1))).
+
+    The number of (u, v) with u + v = j, 0 <= u < a and 0 <= v < b; zero
+    when either factor is empty.
+    """
+    if not 0 <= j <= a + b - 2:
+        return 0
+    return min(j, a - 1, b - 1, a + b - 2 - j) + 1
+
+
+def box_count_mv_pv(order: int) -> Series2:
+    """``series.mv_pv`` summed one coefficient at a time by ``box_count``."""
+    out = Series2(order)
+    for n in range(order + 1):
+        row = out.c[n]
+        for j in range(n + 1):
+            row[j] = (
+                sum(box_count(n - k + 1, k + 1, j) + box_count(k, n - k, j - 1) for k in range(n + 1))
+                - sum(box_count(k + 1, n - k, j) for k in range(n))
+            )
+    return out

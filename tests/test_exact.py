@@ -76,6 +76,19 @@ class TestArithmetic:
                 assert c != 0
                 assert c.denominator > 0  # Fraction keeps reduced canonical form
 
+    @pytest.mark.parametrize("cls", [Poly, WeylOp])
+    def test_constant_hashes_like_its_scalar(self, cls):
+        # equal objects hash alike, so a constant and its scalar share a set slot
+        for c in (0, 3, -1, Fraction(3, 2)):
+            const = cls.constant(2, c)
+            assert const == c and hash(const) == hash(c), c
+            assert len({const, c}) == 1 and {c: "v"}[const] == "v", c
+        assert hash(cls.zero(2)) == hash(0) and len({cls.zero(2), 0}) == 1
+
+    def test_classes_without_constants_still_hash(self):
+        e = CohElem(1, 0, "plain", 1, 0)
+        assert len({CohClass(1, {e: 2}), CohClass(1, {e: 2}), CohClass.zero(1), CohClass.zero(1)}) == 2
+
 
 class TestDerivative:
     def test_product_of_distinct_variables(self):

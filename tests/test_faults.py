@@ -61,10 +61,10 @@ def test_series_suite_catches_a_sign_flip_in_the_closed_form(capsys, monkeypatch
 def test_series_suite_catches_a_missing_exceptional_divisor(capsys, monkeypatch):
     # components as the bare products P^(n-k) x P^k: the first one with an
     # exceptional divisor is n = 2, k = 1, which loses its t^2 class
-    def product_only(n, k):
-        return [sum(1 for u in range(n - k + 1) if 0 <= j - u <= k) for j in range(n + 1)]
+    def product_only(acc, n, k):
+        return series._add_box(acc, n - k + 1, k + 1)
 
-    monkeypatch.setattr(series, "component_poincare", product_only)
+    monkeypatch.setattr(series, "_component_masses", product_only)
     code, report = verify(capsys, "series", "--order", "8")
     assert code == 1 and report["status"] == "fail"
     failed = [c["check"] for c in report["checks"] if c["status"] == "fail"]

@@ -33,6 +33,7 @@ from nodehilb.nodemodule import (
 )
 from nodehilb.weyl import Generator, generators
 from oracles import (
+    poly_dim_submodule,
     poly_generation_checks,
     span_solve,
     u_preservation_checks,
@@ -149,6 +150,12 @@ class TestDimensions:
             for j in range(n + 1):
                 # rank equals the number of listed generators
                 assert dim_submodule(n, 2 * j) == len(u_generator_exponents(n, 2 * j))
+
+    def test_submodule_rank_equals_the_per_element_route(self):
+        # U's product built once per piece against each element built whole
+        for n in range(16):
+            for j in range(n + 1):
+                assert dim_submodule(n, 2 * j) == poly_dim_submodule(n, 2 * j), (n, j)
 
     def test_diagonal_dimension_counts_components(self):
         for n in range(11):

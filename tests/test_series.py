@@ -1,9 +1,12 @@
 """Truncated bivariate series and the identities between the four routes."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from nodehilb import series
 from nodehilb.series import (
     RationalFunction2,
     Series2,
@@ -22,6 +25,7 @@ from nodehilb.series import (
     series_equal,
     submodule_pv,
 )
+from oracles import box_count_mv_pv
 
 KNOWN_ROWS = [
     [1],
@@ -204,6 +208,73 @@ class TestInclusionExclusion:
     def test_equals_closed_form_to_thirty(self):
         ok, where = series_equal(mv_pv(30), closed_form_pv(30))
         assert ok, where
+
+    def test_equals_closed_form_at_128(self):
+        ok, where = series_equal(mv_pv(128), closed_form_pv(128))
+        assert ok, where
+
+    def test_point_masses_equal_the_trapezoid_count(self):
+        # running sums of +-1 masses against counting each coefficient
+        for order in [*range(41), 64]:
+            s = mv_pv(order)
+            assert s.c == box_count_mv_pv(order).c, order
+            assert all(type(v) is int for row in s.c for v in row), order
+
+
+def reached(roots: set) -> set:
+    """Names in ``series`` that ``roots`` reach, read off the source.
+
+    A name or attribute that names a function reaches it, a class name
+    reaches its ``__init__`` and an attribute reaches the class methods of
+    that name.  A ``*`` between two operands neither of which is a literal
+    counts as ``Series2.__mul__``.
+    """
+    tree = ast.parse(inspect.getsource(series))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defs[f"{node.name}.{item.name}"] = item
+
+    def callees(func):
+        out = set()
+        for n in ast.walk(func):
+            if isinstance(n, ast.Name):
+                out |= {n.id, f"{n.id}.__init__"} & defs.keys()
+            elif isinstance(n, ast.Attribute):
+                out |= {k for k in defs if k == n.attr or k.endswith("." + n.attr)}
+            elif isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult):
+                if not any(isinstance(o, (ast.List, ast.Constant)) for o in (n.left, n.right)):
+                    out.add("Series2.__mul__")
+        return out
+
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(callees(defs[name]))
+    return seen
+
+
+MV_ROUTE = {"mv_pv", "_add_box", "_component_masses", "_running_sums"}
+
+
+class TestRouteIndependence:
+    # two routes that share code do not check each other
+
+    def test_mayer_vietoris_reaches_no_other_route(self):
+        assert MV_ROUTE <= reached({"mv_pv"})
+        shared = reached(MV_ROUTE) & {"expand", "closed_form", "paving_pv", "Series2.__mul__"}
+        assert not shared, shared
+
+    def test_paving_reaches_no_mayer_vietoris_code(self):
+        assert {"expand", "Series2.__mul__"} <= reached({"paving_pv"})
+        shared = reached({"paving_pv"}) & (MV_ROUTE | {"component_poincare", "intersection_poincare"})
+        assert not shared, shared
 
 
 class TestPavingRoute:
