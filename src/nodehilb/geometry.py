@@ -32,10 +32,10 @@ and affine lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import nodemodule
-from .exact import Combination, add_into, frac_str, kernel_basis
+from .exact import Combination, add_into, frac_str
 from .series import intersection_poincare
 
 
@@ -46,19 +46,24 @@ def component_count(n: int, m: int) -> int:
     return math.comb(n + m - 1, n)
 
 
-@dataclass(frozen=True)
-class CohElem:
-    """Basis class of a component: a^i b^j, with a zeta prefix when kind='zeta'."""
-
+class _CohElemFields(NamedTuple):
     n: int
     k: int
     kind: str  # "plain" or "zeta"
     i: int
     j: int
 
-    def __post_init__(self):
-        if not _elem_valid(self.n, self.k, self.kind, self.i, self.j):
+
+class CohElem(_CohElemFields):
+    """Basis class of a component: a^i b^j, with a zeta prefix when kind='zeta'."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, kind: str, i: int, j: int):
+        self = super().__new__(cls, n, k, kind, i, j)
+        if not _elem_valid(n, k, kind, i, j):
             raise ValueError(f"no such basis class: {self}")
+        return self
 
     @property
     def degree(self) -> int:
@@ -170,6 +175,21 @@ def pullback_x2(c: CohClass) -> CohClass:
     return _pullback(c, 1)
 
 
+class PullbackCollision(ValueError):
+    """Two source classes of component (n, k) restrict to one target class."""
+
+    def __init__(self, n: int, k: int, tag: str, target: CohElem, sources: tuple):
+        super().__init__(
+            f"pullback {tag} sends {' and '.join(map(str, sources))} to {target}"
+        )
+        self.n, self.k, self.tag, self.target, self.sources = n, k, tag, target, sources
+
+
+def _unhit_classes(n: int, source: list[CohElem], hit: set[int]) -> list[CohClass]:
+    """The class of each source column that no row hits, in source order."""
+    return [CohClass(n, {e: 1}) for col, e in enumerate(source) if col not in hit]
+
+
 def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
     """Joint kernel of both pullbacks on each component, below the top degree.
 
@@ -177,30 +197,30 @@ def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
     degree < 2n killed by both restriction maps.  The answer is the span of
     the single top zeta class zeta a^(n-k-1) b^(k-1) for 1 <= k <= n-1 and
     zero for the two end components.
+
+    The basis is read off, not eliminated.  Each basis class of degree
+    < 2n is pulled back along both maps, and an image counts as a row of
+    the matrix when it lands in component k (x1) or k-1 (x2).  A pullback
+    sends distinct basis classes to distinct classes or to zero, so every
+    row has at most one entry, and the kernel is spanned by the classes
+    whose column no row hits.  That read-off is guarded at run time: a row
+    hit by a second column raises :class:`PullbackCollision` with the
+    component, the map and the target class.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     result: dict[int, list[CohClass]] = {}
     for k in range(n + 1):
         source = [e for e in coh_basis(n, k) if e.degree < 2 * n]
-        targets = []
-        if k <= n - 1:
-            targets += [("x1", t) for t in coh_basis(n - 1, k)]
-        if k >= 1:
-            targets += [("x2", t) for t in coh_basis(n - 1, k - 1)]
-        index = {key: r for r, key in enumerate(targets)}
-        rows: list[dict] = [{} for _ in targets]
+        maps = (("x1", pullback_x1, k), ("x2", pullback_x2, k - 1))
+        rows: dict = {}  # (tag, target class) -> the one column that hits it
         for col, e in enumerate(source):
             cls = CohClass(n, {e: 1})
-            for tag, pb in (("x1", pullback_x1), ("x2", pullback_x2)):
-                for t, v in pb(cls).coeffs.items():
-                    r = index.get((tag, t))
-                    if r is not None:
-                        add_into(rows[r], ((col, v),))
-        kernel = kernel_basis(rows, len(source))
-        result[k] = [
-            CohClass(n, {e: c for e, c in zip(source, vec) if c != 0}) for vec in kernel
-        ]
+            for tag, pb, target_k in maps:
+                for t in pb(cls).coeffs:
+                    if t.k == target_k and rows.setdefault((tag, t), col) != col:
+                        raise PullbackCollision(n, k, tag, t, (source[rows[tag, t]], e))
+        result[k] = _unhit_classes(n, source, set(rows.values()))
     return result
 
 
@@ -240,8 +260,7 @@ def mv_dimension_check(n: int) -> dict:
 # -- affine paving -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PavingCell:
+class PavingCell(NamedTuple):
     """One affine cell: a, b points on the smooth branches, c at the node.
 
     d selects the cell in the punctual chain (0 is the chosen point-cell,

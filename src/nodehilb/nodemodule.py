@@ -37,10 +37,10 @@ element, an independent route to the same action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from .exact import Poly, add_into, monomial_key, rank
 from .weyl import Generator, generator_element
@@ -97,8 +97,7 @@ def _normal_form(e: tuple) -> list:
     return terms
 
 
-@dataclass(frozen=True)
-class PieceData:
+class PieceData(NamedTuple):
     """One bidegree of the quotient."""
 
     basis: tuple  # non-pivot monomials, largest first = canonical basis
@@ -109,8 +108,7 @@ def piece_data(n: int, d: int) -> PieceData:
     return PieceData(tuple(e for e in piece_monomials(n, d) if not _is_pivot(e)))
 
 
-@dataclass(frozen=True)
-class NodeClass:
+class NodeClass(NamedTuple):
     """A coset of U in one bidegree, held by its canonical representative."""
 
     rep: Poly
@@ -170,11 +168,12 @@ def dim_submodule(n: int, d: int) -> int:
     gens = u_generator_exponents(n, d)
     if not gens:
         return 0
-    # (y1+y2)^s (x1-x2) once per piece, then one monomial shift per element
+    # (y1+y2)^s (x1-x2) once per piece; element (a, b, s) is x1^a x2^b times
+    # it, so its terms are the tail's with the x-exponents raised by (a, b)
     tail = (Poly.y(M, 1) + Poly.y(M, 2)) ** (d // 2) * (Poly.x(M, 1) - Poly.x(M, 2))
     index = {e: i for i, e in enumerate(piece_monomials(n, d))}
     rows = [
-        {index[e]: c for e, c in (Poly.monomial(M, (a, b, 0, 0)) * tail).coeffs.items()}
+        {index[(a1 + a, a2 + b, b1, b2)]: c for (a1, a2, b1, b2), c in tail.coeffs.items()}
         for a, b, _ in gens
     ]
     return rank(rows, len(index))
@@ -300,8 +299,7 @@ def _columns_are_identity(cols: list[dict]) -> bool:
     return all(c == {j: 1} for j, c in enumerate(cols))
 
 
-@dataclass(frozen=True)
-class PieceCheck:
+class PieceCheck(NamedTuple):
     name: str
     n: int
     d: int
@@ -372,8 +370,7 @@ def injectivity_checks(n_max: int) -> list[PieceCheck]:
 # -- generation by fundamental classes ----------------------------------------
 
 
-@dataclass(frozen=True)
-class GenerationCheck:
+class GenerationCheck(NamedTuple):
     points: int  # K: where the span is measured
     row: int  # n: which fundamental classes are translated
     rank: int

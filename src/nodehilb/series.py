@@ -31,9 +31,9 @@ is their difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import nodemodule
 from .exact import frac_str
@@ -130,8 +130,7 @@ def series_equal(a: Series2, b: Series2) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class RationalFunction2:
+class RationalFunction2(NamedTuple):
     """Ratio of exact polynomials in q and t^2, expanded as a power series by :func:`expand`."""
 
     num: tuple
@@ -325,17 +324,22 @@ def module_pv(order: int) -> Series2:
     return ambient_module_pv(order) - submodule_pv(order)
 
 
-def module_pv_identity(order: int, enumeration_bound: int = 15) -> dict:
+def module_pv_identity(
+    order: int, enumeration_bound: int = 15, closed: Series2 | None = None
+) -> dict:
     """Check the quotient-series identity and its enumeration cross-checks.
 
     Verifies that ambient minus submodule series equals the closed form to
     the given order, and that up to ``enumeration_bound`` both factors match
-    direct monomial / generator counting in the coset model.
+    direct monomial / generator counting in the coset model.  A caller that
+    already holds ``closed_form_pv(order)`` passes it as ``closed``.
     """
     ambient = ambient_module_pv(order)
     sub = submodule_pv(order)
     diff = ambient - sub
-    ok_closed, where = series_equal(diff, closed_form_pv(order))
+    if closed is None:
+        closed = closed_form_pv(order)
+    ok_closed, where = series_equal(diff, closed)
     checks = [
         {
             "check": "ambient-minus-submodule-equals-closed-form",

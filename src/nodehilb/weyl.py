@@ -35,32 +35,36 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import Combination, Poly, add_into, render_terms
 
 GENERATOR_BIDEGREES = {"x": (1, 0), "d": (-1, -2), "mu+": (1, 2), "mu-": (-1, 0)}
 
 
-@dataclass(frozen=True)
-class Generator:
+class _GeneratorFields(NamedTuple):
+    kind: str
+    index: int | None = None
+
+
+class Generator(_GeneratorFields):
     """One of the distinguished operators: x_i, d_i, mu_plus or mu_minus.
 
     ``kind`` is "x", "d", "mu+" or "mu-"; ``index`` is 1-based and None for
     the two mu operators.
     """
 
-    kind: str
-    index: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in GENERATOR_BIDEGREES:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("x", "d") and (self.index is None or self.index < 1):
-            raise ValueError(f"generator {self.kind} needs a positive index")
-        if self.kind in ("mu+", "mu-") and self.index is not None:
-            raise ValueError(f"generator {self.kind} takes no index")
+    def __new__(cls, kind: str, index: int | None = None):
+        if kind not in GENERATOR_BIDEGREES:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind in ("x", "d") and (index is None or index < 1):
+            raise ValueError(f"generator {kind} needs a positive index")
+        if kind in ("mu+", "mu-") and index is not None:
+            raise ValueError(f"generator {kind} takes no index")
+        return super().__new__(cls, kind, index)
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -236,8 +240,7 @@ def generator_element(g: Generator, m: int) -> WeylOp:
     return out
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     family: str
     i: int | None
     j: int | None
@@ -280,8 +283,7 @@ def verify_relations(m: int) -> list[RelationCheck]:
 # -- the spanned subalgebra and membership ------------------------------------
 
 
-@dataclass(frozen=True)
-class SubalgebraWord:
+class SubalgebraWord(NamedTuple):
     """Spanning word x^alpha * mu_plus^s * dy^delta * mu_minus^r.
 
     Such a word is already normal-ordered, so its Weyl expansion carries the

@@ -15,6 +15,9 @@ polynomials and reducing them, and ranks them through ``rref``.
 ``poly_dim_submodule`` ranks the spanning elements of U, each built whole by
 ``u_generator_poly``.  ``box_count_mv_pv`` sums the Mayer-Vietoris rows
 coefficient by coefficient with the trapezoid count ``box_count``.
+``pullback_matrix`` builds the matrix of both pullbacks on one component over
+the full target bases, for ``kernel_basis`` to eliminate, independently of
+the package's read-off of the kernel.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from nodehilb.exact import Poly, kernel_basis, monomial_key, rank, rref
+from nodehilb.geometry import CohClass, CohElem, coh_basis, pullback_x1, pullback_x2
 from nodehilb.nodemodule import (
     M,
     GenerationCheck,
@@ -245,3 +249,28 @@ def box_count_mv_pv(order: int) -> Series2:
                 - sum(box_count(k + 1, n - k, j) for k in range(n))
             )
     return out
+
+
+def pullback_matrix(n: int, k: int) -> tuple[list[CohElem], list[dict]]:
+    """Source classes of degree < 2n on component (n, k) and the sparse rows of both pullbacks.
+
+    One column per source class; one row per target basis class, x1 over
+    ``coh_basis(n-1, k)`` and x2 over ``coh_basis(n-1, k-1)`` where those
+    components exist.
+    """
+    source = [e for e in coh_basis(n, k) if e.degree < 2 * n]
+    targets = []
+    if k <= n - 1:
+        targets += [("x1", t) for t in coh_basis(n - 1, k)]
+    if k >= 1:
+        targets += [("x2", t) for t in coh_basis(n - 1, k - 1)]
+    index = {key: r for r, key in enumerate(targets)}
+    rows: list[dict] = [{} for _ in targets]
+    for col, e in enumerate(source):
+        cls = CohClass(n, {e: 1})
+        for tag, pb in (("x1", pullback_x1), ("x2", pullback_x2)):
+            for t, v in pb(cls).coeffs.items():
+                r = index.get((tag, t))
+                if r is not None:
+                    rows[r][col] = rows[r].get(col, 0) + v
+    return source, rows

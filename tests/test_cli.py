@@ -11,6 +11,7 @@ import pytest
 import nodehilb
 from nodehilb import cli, geometry, nodemodule, series
 from nodehilb.cli import main
+from nodehilb.weyl import Generator
 
 KNOWN_TABLE = "1\n1 2\n1 3 3\n1 4 5 4\n1 5 7 7 5\n1 6 9 10 9 6\n"
 
@@ -388,3 +389,28 @@ class TestDeterminism:
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert outs.pop() == out.encode()
+
+
+class TestRecords:
+    def test_cli_import_loads_no_dataclasses(self):
+        # the records are NamedTuples; -S keeps site's own imports out of the count
+        package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, nodehilb.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True,
+            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout == b"False\n"
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (geometry.CohElem(2, 1, "zeta", 0, 0), "k"),
+            (Generator("x", 1), "index"),
+            (nodemodule.PieceCheck("[x1,x2]=0", 2, 2, True), "ok"),
+        ],
+    )
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

@@ -86,15 +86,39 @@ def test_kernel_suite_catches_equal_pullbacks(capsys, monkeypatch):
 def test_kernel_suite_catches_a_kernel_vector_rescaled_to_zero(capsys, monkeypatch):
     # every kernel vector times 0: the class built from it drops its zero
     # coefficients and is 0, so each component with a top zeta class fails
-    real = geometry.kernel_basis
+    real = geometry._unhit_classes
     monkeypatch.setattr(
-        geometry, "kernel_basis", lambda rows, ncols: [tuple(0 * c for c in v) for v in real(rows, ncols)]
+        geometry, "_unhit_classes", lambda n, source, hit: [0 * v for v in real(n, source, hit)]
     )
     code, report = verify(capsys, "kernel", "--n-max", "6")
     assert code == 1 and report["status"] == "fail"
     assert report["failures"][0] == {"n": 2, "k": 1, "got": ["0"]}
     assert len(report["failures"]) == 15  # 1 <= k <= n-1 for n = 2..6
     assert all(f["got"] == ["0"] for f in report["failures"])
+
+
+def test_kernel_suite_catches_two_classes_pulled_back_to_one(capsys, monkeypatch):
+    # b^j dropped before the move: 1 and b on component (2, 1) both land on
+    # 1@M(1,1) under x1, so that row has two entries and the read-off of the
+    # kernel no longer holds; every level n >= 2 has such a pair
+    real = geometry._moved
+    monkeypatch.setattr(
+        geometry, "_moved", lambda e, new_k: real(geometry.CohElem(e.n, e.k, e.kind, e.i, 0), new_k)
+    )
+    code, report = verify(capsys, "kernel", "--n-max", "6")
+    assert code == 1 and report["status"] == "fail"
+    assert report["failures"][0] == {
+        "n": 2,
+        "k": 1,
+        "pullback": "x1",
+        "hit_twice": "1@M(1,1)",
+        "by": ["1@M(2,1)", "b@M(2,1)"],
+    }
+    assert [f["n"] for f in report["failures"]] == [2, 3, 4, 5, 6]
+    assert all(f["hit_twice"].endswith(f"@M({f['n'] - 1},{f['k']})") for f in report["failures"])
+    assert main(["kernel", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: component (3, ")
 
 
 def test_node_suite_catches_a_lost_x1_column(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nodehilb.exact import kernel_basis, rank
 from nodehilb.geometry import (
     CohClass,
     CohElem,
@@ -21,6 +22,7 @@ from nodehilb.geometry import (
     top_zeta_class,
 )
 from nodehilb.series import component_poincare, paving_pv
+from oracles import pullback_matrix
 
 
 class TestComponentCount:
@@ -214,6 +216,20 @@ class TestKernels:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             kernel_intersection(0)
+
+    def test_read_off_equals_elimination(self):
+        # the read-off against kernel_basis of the full pullback matrix, and
+        # the rank identity that the read-off makes redundant at run time
+        for n in range(2, 13):
+            kernels = kernel_intersection(n)
+            for k in range(n + 1):
+                source, rows = pullback_matrix(n, k)
+                vecs = kernel_basis(rows, len(source))
+                eliminated = [
+                    CohClass(n, {e: c for e, c in zip(source, vec) if c != 0}) for vec in vecs
+                ]
+                assert kernels[k] == eliminated, (n, k)
+                assert rank(rows, len(source)) + len(kernels[k]) == len(source), (n, k)
 
 
 class TestMayerVietorisDimensions:
