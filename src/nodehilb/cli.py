@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import geometry, nodemodule, series
 from .exact import frac_str
@@ -65,6 +66,24 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _emit_rows(rows: list[list[str]], fmt: str, head: dict) -> None:
+    """Print a table whose row n holds the coefficients of q^n.
+
+    json puts the rows under the fields of ``head``; plain prints each row
+    space separated, and csv comma separated after its n.
+    """
+    if fmt == "json":
+        _emit_json({**head, "rows": [{"n": n, "coeffs": row} for n, row in enumerate(rows)]})
+    elif fmt == "plain":
+        _emit("\n".join(" ".join(row) for row in rows))
+    else:
+        _emit("\n".join(",".join([str(n), *row]) for n, row in enumerate(rows)))
+
+
 # -- betti ---------------------------------------------------------------------
 
 
@@ -86,21 +105,11 @@ def run_betti(n_max: int, fmt: str) -> int:
             f"error: betti n={n} j={j}: enumerated {rows[n][j]}, closed form {closed.c[n][j]}",
             file=sys.stderr,
         )
-    if fmt == "plain":
-        _emit("\n".join(" ".join(str(v) for v in row) for row in rows))
-    elif fmt == "csv":
-        _emit("\n".join(",".join([str(n)] + [str(v) for v in row]) for n, row in enumerate(rows)))
-    else:
-        _emit_json(
-            {
-                "name": "betti",
-                "parameters": {"n_max": n_max},
-                "status": "pass" if ok else "fail",
-                "rows": [
-                    {"n": n, "coeffs": [str(v) for v in row]} for n, row in enumerate(rows)
-                ],
-            }
-        )
+    _emit_rows(
+        [[str(v) for v in row] for row in rows],
+        fmt,
+        {"name": "betti", "parameters": {"n_max": n_max}, "status": _status(ok)},
+    )
     return 0 if ok else 1
 
 
@@ -121,13 +130,7 @@ def run_series(which: str, order: int, fmt: str) -> int:
         print(f"error: unknown series {which!r}", file=sys.stderr)
         return 2
     s = makers[which](order)
-    rows = [[frac_str(v) for v in s.row(n)] for n in range(order + 1)]
-    if fmt == "json":
-        _emit_json({"order": order, "rows": [{"n": n, "coeffs": row} for n, row in enumerate(rows)]})
-    elif fmt == "plain":
-        _emit("\n".join(" ".join(row) for row in rows))
-    else:
-        _emit("\n".join(",".join([str(n)] + row) for n, row in enumerate(rows)))
+    _emit_rows([[frac_str(v) for v in s.row(n)] for n in range(order + 1)], fmt, {"order": order})
     return 0
 
 
@@ -224,22 +227,34 @@ def run_paving(n: int, fmt: str) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
+def _all_pass(entries) -> bool:
+    return all(e["status"] == "pass" for e in entries)
+
+
+def _check(name: str, ok: bool, **fields) -> dict:
+    """One entry of a suite's ``checks`` list."""
+    return {"check": name, "status": _status(ok), **fields}
+
+
+def _tally(records) -> dict:
+    """``checked`` and ``failures`` of check records; a failure is its record less ``ok``."""
+    failures = [{k: v for k, v in r._asdict().items() if k != "ok"} for r in records if not r.ok]
+    return {"checked": len(records), "failures": failures}
+
+
+def _compared(name: str, a, b) -> dict:
+    ok, where = series.series_equal(a, b)
+    return _check(name, ok, first_difference=None if where is None else list(where))
+
+
+# Each report function returns the suite's status and fields; run_verify adds
+# the report's name and parameters in front.
+
+
 def verify_relations_report(m: int) -> dict:
-    checks = verify_relations(m)
-    failures = [
-        {"family": c.family, "i": c.i, "j": c.j, "got": c.got} for c in checks if not c.ok
-    ]
-    realization = {
-        str(g): str(generator_element(g, m)) for g in generators(m)
-    }
-    return {
-        "name": "weyl-relations",
-        "parameters": {"m": m},
-        "status": "pass" if not failures else "fail",
-        "generators": realization,
-        "checked": len(checks),
-        "failures": failures,
-    }
+    tally = _tally(verify_relations(m))
+    realization = {str(g): str(generator_element(g, m)) for g in generators(m)}
+    return {"status": _status(not tally["failures"]), "generators": realization, **tally}
 
 
 def verify_node_report(n_max: int) -> dict:
@@ -248,80 +263,34 @@ def verify_node_report(n_max: int) -> dict:
         for n in range(n_max + 1)
     ]
     closed = series.closed_form_pv(n_max)
-    dims_ok = all(
-        row["coeffs"][j] == closed.c[row["n"]][j]
-        for row in dims
-        for j in range(row["n"] + 1)
-    )
-    rel = nodemodule.relation_matrix_checks(n_max)
-    rel_failures = [
-        {"name": c.name, "n": c.n, "d": c.d} for c in rel if not c.ok
-    ]
-    gen = nodemodule.generation_checks(n_max)
-    gen_failures = [
-        {"points": c.points, "row": c.row, "rank": c.rank, "dim": c.dim}
-        for c in gen
-        if not c.ok
-    ]
-    inj = nodemodule.injectivity_checks(n_max)
-    inj_failures = [{"name": c.name, "n": c.n, "d": c.d} for c in inj if not c.ok]
+    dims_ok = all(row["coeffs"] == closed.row(row["n"]) for row in dims)
+    rel = _tally(nodemodule.relation_matrix_checks(n_max))
+    gen = _tally(nodemodule.generation_checks(n_max))
+    inj = _tally(nodemodule.injectivity_checks(n_max))
     witness = nodemodule.no_extension_witness()
     checks = [
-        {
-            "check": "dimension-table-matches-closed-form",
-            "status": "pass" if dims_ok else "fail",
-            "rows": dims,
-        },
-        {
-            "check": "relation-matrices",
-            "status": "pass" if not rel_failures else "fail",
-            "checked": len(rel),
-            "failures": rel_failures,
-        },
-        {
-            "check": "generation-by-fundamental-classes",
-            "status": "pass" if not gen_failures else "fail",
-            "checked": len(gen),
-            "failures": gen_failures,
-        },
-        {
-            "check": "multiplication-injectivity",
-            "status": "pass" if not inj_failures else "fail",
-            "checked": len(inj),
-            "failures": inj_failures,
-        },
-        {
-            "check": "no-extension-witness",
-            "status": "pass" if witness["witness_found"] else "fail",
-            "witness": witness,
-        },
+        _check("dimension-table-matches-closed-form", dims_ok, rows=dims),
+        _check("relation-matrices", not rel["failures"], **rel),
+        _check("generation-by-fundamental-classes", not gen["failures"], **gen),
+        _check("multiplication-injectivity", not inj["failures"], **inj),
+        _check("no-extension-witness", witness["witness_found"], witness=witness),
     ]
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {"name": "node-module", "parameters": {"n_max": n_max}, "status": status, "checks": checks}
+    return {"status": _status(_all_pass(checks)), "checks": checks}
 
 
 def verify_series_report(order: int) -> dict:
     closed = series.closed_form_pv(order)
-    checks = []
-    for label, s in (("mayer-vietoris", series.mv_pv(order)), ("paving", series.paving_pv(order))):
-        ok, where = series.series_equal(closed, s)
-        checks.append(
-            {
-                "check": f"closed-form-equals-{label}",
-                "status": "pass" if ok else "fail",
-                "first_difference": None if where is None else list(where),
-            }
-        )
-    module_report = series.module_pv_identity(order, closed=closed)
-    checks.append(
-        {
-            "check": "module-series-identity",
-            "status": module_report["status"],
-            "detail": module_report["checks"],
-        }
-    )
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {"name": "series-identities", "parameters": {"order": order}, "status": status, "checks": checks}
+    checks = [
+        _compared("closed-form-equals-mayer-vietoris", closed, series.mv_pv(order)),
+        _compared("closed-form-equals-paving", closed, series.paving_pv(order)),
+    ]
+    quotient, bound, missed = series.module_pv_identity(order)
+    detail = [
+        _compared("ambient-minus-submodule-equals-closed-form", quotient, closed),
+        _check(f"series-match-enumerated-dimensions-to-n={bound}", not missed, mismatches=missed),
+    ]
+    checks.append(_check("module-series-identity", _all_pass(detail), detail=detail))
+    return {"status": _status(_all_pass(checks)), "checks": checks}
 
 
 def verify_kernel_report(n_max: int) -> dict:
@@ -347,66 +316,79 @@ def verify_kernel_report(n_max: int) -> dict:
             checked += 1
             vecs = kernels[k]
             if k in (0, n):
-                if vecs:
-                    failures.append({"n": n, "k": k, "got": [_class_label(v) for v in vecs]})
-                continue
-            expected = geometry.top_zeta_class(n, k)
-            # one kernel vector, supported on the single expected basis class
-            ok = len(vecs) == 1 and set(vecs[0].coeffs) == set(expected.coeffs)
+                ok = not vecs
+            else:
+                # one kernel vector, supported on the single expected basis class
+                expected = geometry.top_zeta_class(n, k)
+                ok = len(vecs) == 1 and set(vecs[0].coeffs) == set(expected.coeffs)
             if not ok:
                 failures.append({"n": n, "k": k, "got": [_class_label(v) for v in vecs]})
-    return {
-        "name": "pullback-kernels",
-        "parameters": {"n_max": n_max},
-        "status": "pass" if not failures else "fail",
-        "checked": checked,
-        "failures": failures,
-    }
+    return {"status": _status(not failures), "checked": checked, "failures": failures}
 
 
-def run_verify(target: str, m: int | None, n_max: int | None, order: int | None, fmt: str) -> int:
-    # each flag with the targets that read it; any other target rejects it
-    # (verify all checks relations at m = 1..5, so it takes no --m)
-    for flag, value, readers in (
-        ("--m", m, ("relations",)),
-        ("--n-max", n_max, ("node", "kernel", "all")),
-        ("--order", order, ("series", "all")),
-    ):
-        if value is not None and target not in readers:
+class Suite(NamedTuple):
+    """One ``verify`` target: the flag that sets its bound, and its report."""
+
+    flag: str
+    default: int
+    lowest: int
+    limit: str  # DESK_LIMITS key of its highest bound
+    label: str  # names the bound in the out-of-range error
+    name: str  # of its report
+    report: str  # its report function in this module, looked up when the suite runs
+    swept: bool = False  # verify all runs it at every desk bound, not at its flag
+
+
+# verify all runs every suite, in this order
+SUITES = {
+    "relations": Suite("--m", 2, 1, "relations_m", "relations bound m=",
+                       "weyl-relations", "verify_relations_report", swept=True),
+    "node": Suite("--n-max", 10, 0, "node_n", "node bound ", "node-module", "verify_node_report"),
+    "series": Suite("--order", 30, 0, "series_order", "series order ",
+                    "series-identities", "verify_series_report"),
+    "kernel": Suite("--n-max", 8, 2, "kernel_n", "kernel bound ",
+                    "pullback-kernels", "verify_kernel_report"),
+}
+
+
+def _dest(flag: str) -> str:
+    """The argparse attribute of a flag, which also keys its report parameter."""
+    return flag[2:].replace("-", "_")
+
+
+def run_verify(target: str, flags: dict, fmt: str) -> int:
+    suites = list(SUITES.values()) if target == "all" else [SUITES[target]]
+    sweep = target == "all"
+    reads = {s.flag for s in suites if not (sweep and s.swept)}
+    for flag, value in flags.items():
+        if value is not None and flag not in reads:
             print(f"error: {flag} does not apply to verify {target}", file=sys.stderr)
             return 2
-    node_n, kernel_n = (10, 8) if n_max is None else (n_max, n_max)
-    order = 30 if order is None else order
-    # (bound label, bound, lowest bound, desk limit, report); every bound is
-    # checked before any suite runs
-    suites = []
-    if target == "relations":
-        m = 2 if m is None else m
-        suites.append(("relations bound m=", m, 1, "relations_m", verify_relations_report))
-    if target in ("node", "all"):
-        suites.append(("node bound ", node_n, 0, "node_n", verify_node_report))
-    if target in ("series", "all"):
-        suites.append(("series order ", order, 0, "series_order", verify_series_report))
-    if target in ("kernel", "all"):
-        suites.append(("kernel bound ", kernel_n, 1, "kernel_n", verify_kernel_report))
-    for label, bound, lowest, limit, _ in suites:
-        if not lowest <= bound <= _limit(limit):
+    runs = []  # every bound is checked before any suite runs
+    for s in suites:
+        if sweep and s.swept:
+            runs += [(s, bound) for bound in range(s.lowest, DESK_LIMITS[s.limit] + 1)]
+            continue
+        bound = s.default if flags[s.flag] is None else flags[s.flag]
+        if not s.lowest <= bound <= _limit(s.limit):
             print(
-                f"error: {label}{bound} outside desk scale ({lowest}..{_limit(limit)})",
+                f"error: {s.label}{bound} outside desk scale ({s.lowest}..{_limit(s.limit)})",
                 file=sys.stderr,
             )
             return 2
-    reports = [verify_relations_report(mm) for mm in range(1, 6)] if target == "all" else []
-    reports += [report(bound) for _, bound, _, _, report in suites]
-    status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
+        runs.append((s, bound))
+    reports = [
+        {"name": s.name, "parameters": {_dest(s.flag): bound}, **globals()[s.report](bound)}
+        for s, bound in runs
+    ]
+    status = _status(_all_pass(reports))
     if fmt == "json":
         _emit_json({"name": f"verify-{target}", "status": status, "reports": reports})
     else:
-        lines = []
-        for r in reports:
-            lines.append(f"{r['status'].upper()}: {r['name']} {json.dumps(r.get('parameters', {}))}")
-        lines.append(f"overall: {status.upper()}")
-        _emit("\n".join(lines))
+        lines = [
+            f"{r['status'].upper()}: {r['name']} {json.dumps(r['parameters'])}" for r in reports
+        ]
+        _emit("\n".join([*lines, f"overall: {status.upper()}"]))
     return 0 if status == "pass" else 1
 
 
@@ -443,10 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="plain")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("target", choices=["relations", "node", "series", "kernel", "all"])
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("target", choices=[*SUITES, "all"])
+    for flag in dict.fromkeys(s.flag for s in SUITES.values()):
+        p.add_argument(flag, type=int)
     p.add_argument("--format", default="json")
 
     return parser
@@ -473,7 +454,8 @@ def main(argv=None) -> int:
     if args.command == "paving":
         return run_paving(args.n, args.format)
     if args.command == "verify":
-        return run_verify(args.target, args.m, args.n_max, args.order, args.format)
+        flags = {s.flag: getattr(args, _dest(s.flag)) for s in SUITES.values()}
+        return run_verify(args.target, flags, args.format)
     raise AssertionError("unreachable")
 
 

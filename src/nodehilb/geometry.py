@@ -155,9 +155,10 @@ class CohClass(Combination):
 def _moved(e: CohElem, new_k: int) -> CohElem | None:
     """The same-exponent class one level down in component new_k, or None."""
     n2 = e.n - 1
-    if not (0 <= new_k <= n2) or not _elem_valid(n2, new_k, e.kind, e.i, e.j):
+    if not _elem_valid(n2, new_k, e.kind, e.i, e.j):
         return None
-    return CohElem(n2, new_k, e.kind, e.i, e.j)
+    # validated just above, so CohElem's own check is skipped
+    return _CohElemFields.__new__(CohElem, n2, new_k, e.kind, e.i, e.j)
 
 
 def _pullback(c: CohClass, shift: int) -> CohClass:

@@ -194,6 +194,9 @@ class TestVerify:
         assert code == 2 and "desk scale" in err
         code, _, err = run(capsys, "verify", "node", "--n-max", "16")
         assert code == 2 and "desk scale" in err
+        # the kernel suite checks the levels n = 2..n_max, so 1 would check nothing
+        code, _, err = run(capsys, "verify", "kernel", "--n-max", "1")
+        assert code == 2 and "kernel bound 1 outside desk scale (2..15)" in err
 
     def test_bad_format_rejected_before_the_suite_runs(self, capsys, monkeypatch):
         def suite_ran(n_max):
@@ -303,6 +306,7 @@ class TestVerifyAll:
             (["--n-max", "99"], "node bound 99"),
             (["--n-max", "0"], "kernel bound 0"),
             (["--order", "99"], "series order 99"),
+            (["--n-max", "1"], "kernel bound 1"),
         ],
     )
     def test_every_bound_checked_before_any_suite(self, capsys, no_suite_runs, flags, where):

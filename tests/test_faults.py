@@ -266,3 +266,69 @@ def test_relations_suite_catches_a_product_without_its_rewriting_terms(capsys, m
         ("[mu-,x_i]=1", 1, "0"),
         ("[mu-,x_i]=1", 2, "0"),
     }
+
+
+def test_series_suite_catches_a_punctual_chain_one_line_too_long(capsys, monkeypatch):
+    # 1 + c t^2 instead of 1 + (c-1) t^2: only the paving route reads the
+    # punctual factor, and the first row with a t^2 term is q^1
+    monkeypatch.setattr(series, "punctual_row", lambda c: [1, c])
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 1 and report["status"] == "fail"
+    failed = [c["check"] for c in report["checks"] if c["status"] == "fail"]
+    assert failed == ["closed-form-equals-paving"]
+    assert series_check(report, "closed-form-equals-paving")["first_difference"] == [1, 1]
+
+
+def enumeration_mismatches(report):
+    identity = series_check(report, "module-series-identity")
+    assert identity["status"] == "fail"
+    failed = [c for c in identity["detail"] if c["status"] == "fail"]
+    assert [c["check"] for c in failed] == ["series-match-enumerated-dimensions-to-n=8"]
+    return failed[0]["mismatches"]
+
+
+@pytest.mark.parametrize(
+    "counter, expected",
+    [("dim_ambient", ["ambient", 3, 1, "6", 7]), ("dim_submodule", ["submodule", 3, 1, "2", 3])],
+)
+def test_series_suite_catches_a_miscounted_factor(capsys, monkeypatch, counter, expected):
+    # one monomial or generator too many at (3, 2): the quotient count comes
+    # from dim_piece, so only this factor's comparison with its series fails
+    real = getattr(nodemodule, counter)
+    monkeypatch.setattr(nodemodule, counter, lambda n, d: real(n, d) + ((n, d) == (3, 2)))
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 1 and only_failing_check(report) == "module-series-identity"
+    assert enumeration_mismatches(report) == [expected]
+
+
+def test_series_suite_catches_a_quotient_series_wrong_past_the_enumeration(capsys, monkeypatch):
+    # the submodule series cut off after q^15: the enumeration stops at
+    # n = 15, so only the comparison with the closed form sees q^16
+    real = series.submodule_pv
+
+    def truncated(order):
+        s = real(order)
+        s.c[16:] = [[0] * (order + 1) for _ in s.c[16:]]
+        return s
+
+    monkeypatch.setattr(series, "submodule_pv", truncated)
+    code, report = verify(capsys, "series", "--order", "20")
+    assert code == 1 and only_failing_check(report) == "module-series-identity"
+    detail = series_check(report, "module-series-identity")["detail"]
+    assert [c["status"] for c in detail] == ["fail", "pass"]
+    assert detail[0]["check"] == "ambient-minus-submodule-equals-closed-form"
+    assert detail[0]["first_difference"] == [16, 0]
+
+
+def test_relations_suite_catches_a_dy_built_as_dx(capsys, monkeypatch):
+    # d_i = dy_i built as dx_i: [d_i, x_i] is 1 instead of 0, and [d_i, mu+]
+    # is 0 instead of 1, since mu+ = y1 + y2 no longer meets a dy
+    monkeypatch.setattr(weyl.WeylOp, "dy", classmethod(lambda cls, m, i: cls.dx(m, i)))
+    code, report = verify(capsys, "relations", "--m", "2")
+    assert code == 1 and report["status"] == "fail"
+    assert {(f["family"], f["i"], f["j"], f["got"]) for f in report["failures"]} == {
+        ("[d_i,x_j]=0", 1, 1, "1"),
+        ("[d_i,x_j]=0", 2, 2, "1"),
+        ("[d_i,mu+]=1", 1, None, "0"),
+        ("[d_i,mu+]=1", 2, None, "0"),
+    }

@@ -45,22 +45,37 @@ def test_mv_series_prints_the_closed_golden(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDENS[closed]["sha256"]
 
 
+# the layers under each verify suite, which the tracer must still reach
+# (the table of suites must call them through their modules at run time)
+VERIFY_LAYERS = [
+    "weyl.verify_relations",
+    "nodemodule.relation_matrix_checks",
+    "nodemodule.generation_checks",
+    "nodemodule.injectivity_checks",
+    "series.module_pv_identity",
+    "geometry.kernel_intersection",
+]
+
+
 def test_tracer_runs_the_cli_and_reads_the_caches(tmp_path, capsys, monkeypatch):
     # the tracer wraps functions by name and reads cache_info() of the two
     # cached layers, so a rename or a lost lru_cache breaks traced runs
     monkeypatch.delenv("RUN_SCALE", raising=False)
-    span_file = tmp_path / "spans.json"
-    args = ["betti", "--n-max", "3"]
     package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "trace_child.py"), str(span_file), "--", *args],
-        capture_output=True,
-        env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root},
-    )
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    assert main(args) == 0
-    assert proc.stdout == capsys.readouterr().out.encode()
-    cache = json.loads(span_file.read_text())["cache"]
-    assert {"nodemodule.piece_data", "nodemodule.operator_columns"} <= set(cache)
-    hits, misses, size = cache["nodemodule.piece_data"]
-    assert misses == size > 0
+    for args in (["betti", "--n-max", "3"], ["verify", "all", "--n-max", "3", "--order", "4"]):
+        span_file = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "trace_child.py"), str(span_file), "--", *args],
+            capture_output=True,
+            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert main(args) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+        traced = json.loads(span_file.read_text())
+        cache = traced["cache"]
+        assert {"nodemodule.piece_data", "nodemodule.operator_columns"} <= set(cache)
+        hits, misses, size = cache["nodemodule.piece_data"]
+        assert misses == size > 0
+    layers = {traced["names"][span[0]] for span in traced["spans"]}
+    assert [layer for layer in VERIFY_LAYERS if layer not in layers] == []

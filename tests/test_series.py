@@ -314,16 +314,16 @@ class TestModuleRoute:
         assert module_pv(3).row(0) == [1]
 
     def test_identity_to_thirty(self):
-        report = module_pv_identity(30)
-        assert report["status"] == "pass"
+        quotient, _, mismatches = module_pv_identity(30)
+        assert series_equal(quotient, closed_form_pv(30)) == (True, None)
+        assert mismatches == []
         ok, where = series_equal(module_pv(30), closed_form_pv(30))
         assert ok, where
 
     def test_enumeration_cross_check_contents(self):
-        report = module_pv_identity(12, enumeration_bound=8)
-        enum_check = report["checks"][1]
-        assert enum_check["status"] == "pass"
-        assert enum_check["mismatches"] == []
+        _, bound, mismatches = module_pv_identity(12, enumeration_bound=8)
+        assert bound == 8
+        assert mismatches == []
 
 
 class TestSeriesEqual:
