@@ -120,6 +120,19 @@ class Combination:
         self.coeffs = clean
 
     @classmethod
+    def _from_clean(cls, m: int, coeffs: dict):
+        """An instance holding ``coeffs`` as it is, without the checks of ``__init__``.
+
+        Only for a dict whose keys the caller has already checked at ``m``
+        and whose values are nonzero exact numbers, such as one built
+        through :func:`add_into` from another instance's terms.
+        """
+        obj = object.__new__(cls)
+        obj.m = m
+        obj.coeffs = coeffs
+        return obj
+
+    @classmethod
     def _unit(cls, m: int):
         raise TypeError(f"{cls.__name__} has no constants")
 
@@ -365,10 +378,12 @@ def _cancel(row: dict, piv: dict, col: int) -> dict:
 
 
 def _echelon(rows: list[dict], ncols: int | None) -> dict[int, dict]:
-    """Forward elimination: pivot column -> primitive row starting there.
+    """Forward elimination: pivot column -> integer row starting there.
 
     Stops as soon as every one of ``ncols`` columns has a pivot, since the
-    remaining rows can only reduce to zero.
+    remaining rows can only reduce to zero.  The input rows are never
+    mutated: a pivot may be an input row itself, and every combination is a
+    new dict.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -399,15 +414,25 @@ def _reduce(pivots: dict[int, dict]) -> list[tuple[int, dict]]:
     return sorted(done.items())
 
 
+def _is_int_row(row: dict) -> bool:
+    """Whether every entry of a sparse row is a nonzero ``int`` (``bool`` is not)."""
+    return all(type(v) is int and v for v in row.values())
+
+
 def _normalise(mat, ncols: int | None) -> tuple[list[dict], int | None, bool]:
-    """Integer rows, column count and whether the input was dense."""
+    """Integer rows, column count and whether the input was dense.
+
+    A sparse row of nonzero ``int`` entries is used as it is, without a copy
+    or a gcd pass: ``_echelon`` never mutates a row, and neither the rank nor
+    the read-out, which divides by the pivots, needs a primitive row.
+    """
     if not mat:
         return [], ncols or 0, True
     if not isinstance(mat[0], dict):
         if ncols is None:
             ncols = len(mat[0])
         return [_int_row(enumerate(r)) for r in mat], ncols, True
-    return [_int_row(r.items()) for r in mat], ncols, False
+    return [r if _is_int_row(r) else _int_row(r.items()) for r in mat], ncols, False
 
 
 def rref(mat) -> tuple[list, list[int]]:

@@ -162,8 +162,9 @@ def _moved(e: CohElem, new_k: int) -> CohElem | None:
 
 
 def _pullback(c: CohClass, shift: int) -> CohClass:
+    # the terms of c are clean and _moved validates each key at level n - 1
     moved = ((_moved(e, e.k - shift), v) for e, v in c.coeffs.items())
-    return CohClass(c.n - 1, add_into({}, ((t, v) for t, v in moved if t is not None)))
+    return CohClass._from_clean(c.n - 1, add_into({}, ((t, v) for t, v in moved if t is not None)))
 
 
 def pullback_x1(c: CohClass) -> CohClass:

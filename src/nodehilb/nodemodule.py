@@ -381,17 +381,32 @@ class GenerationCheck(NamedTuple):
         return self.rank == self.dim
 
 
+def _integral(c) -> int:
+    """An exact number that must be an integer, as ``int``; never truncated."""
+    if c.denominator != 1:
+        raise ValueError(f"{c} is not an integer")
+    return c.numerator
+
+
 def generation_checks(n_max: int) -> list[GenerationCheck]:
     """x1,x2-translates of the fundamental classes span each row piece.
 
     For every n <= K <= n_max, the classes of
     x1^a x2^b y1^k y2^(n-k)/k!(n-k)! with a+b = K-n span the whole (K, 2n)
     piece; the check compares an exact rank with the piece dimension.  Each
-    row reduces the terms of a class with x1, x2 raised by a, b directly.
+    class is scaled by k!(n-k)!, which leaves the span alone, so every row
+    is built in ``int``; a row reduces the terms of a class with x1, x2
+    raised by a, b directly.
     """
     checks = []
     for n in range(n_max + 1):
-        fcs = [fundamental_class(n, k) for k in range(n + 1)]
+        fcs = [
+            [
+                (e, _integral(c * factorial(k) * factorial(n - k)))
+                for e, c in fundamental_class(n, k).rep.coeffs.items()
+            ]
+            for k in range(n + 1)
+        ]
         for K in range(n, n_max + 1):
             data = piece_data(K, 2 * n)
             index = {e: i for i, e in enumerate(data.basis)}
@@ -400,7 +415,7 @@ def generation_checks(n_max: int) -> list[GenerationCheck]:
                 b = K - n - a
                 for fc in fcs:
                     row: dict = {}
-                    for (a1, a2, b1, b2), c in fc.rep.coeffs.items():
+                    for (a1, a2, b1, b2), c in fc:
                         add_into(row, _normal_form((a1 + a, a2 + b, b1, b2)), c)
                     rows.append({index[e]: c for e, c in row.items()})
             checks.append(GenerationCheck(K, n, rank(rows, len(index)), len(data.basis)))

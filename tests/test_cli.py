@@ -383,7 +383,12 @@ class TestDeterminism:
             proc = subprocess.run(
                 [sys.executable, "-m", "nodehilb.cli", *args],
                 capture_output=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root},
+                env={
+                    "PYTHONHASHSEED": seed,
+                    "PATH": "/usr/bin:/usr/local/bin",
+                    "PYTHONPATH": package_root,
+                    "PYTHONDONTWRITEBYTECODE": "1",
+                },
             )
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
             outs.add(proc.stdout)
@@ -402,7 +407,7 @@ class TestRecords:
         proc = subprocess.run(
             [sys.executable, "-S", "-c", "import sys, nodehilb.cli; print('dataclasses' in sys.modules)"],
             capture_output=True,
-            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root},
+            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         assert proc.stdout == b"False\n"

@@ -170,6 +170,50 @@ def test_input_rows_are_not_modified():
     assert rows == [[2, 4], [1, 3]]
 
 
+def int_sparse(rows) -> list[dict]:
+    return [{c: int(v) for c, v in enumerate(row) if v != 0} for row in rows]
+
+
+def test_int_rows_skip_the_conversion_and_match_dense_oracle(monkeypatch):
+    # sparse rows of nonzero ints reach the elimination as they are, often
+    # not primitive; the read-out divides by the pivots, so the reduced form
+    # and kernel are still the unique ones, and the rows come back unchanged
+    monkeypatch.setattr(exact, "_int_row", lambda items: pytest.fail("row converted"))
+    integral = [m for m in MATRICES if all(v.denominator == 1 for row in m for v in row)]
+    assert len(integral) >= 300
+    for rows in integral:
+        ncols = len(rows[0]) if rows else 0
+        mat = int_sparse(rows)
+        before = [dict(r) for r in mat]
+        want_rows, want_pivots = dense_rref([list(r) for r in rows])
+        assert rref(mat) == (sparse(want_rows), want_pivots)
+        assert kernel_basis(mat, ncols) == dense_kernel(rows, ncols)
+        assert rank(mat, ncols) == len(want_pivots) == rank(mat)
+        assert mat == before
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # an explicit zero that reached the elimination would be a zero pivot
+        # in column 0, and the rank would read 2
+        [{0: 0, 1: 2}, {1: 3}],
+        [{0: 0, 1: 2}, {1: 3}, {0: 1}],
+        [{0: True, 1: True}, {1: True}, {0: 1, 1: 1}],
+        [{0: False, 1: True}, {1: 5}],
+        [{0: Fraction(2), 1: Fraction(-4)}, {0: Fraction(1), 1: Fraction(-2)}],
+        [{0: 2, 1: 4}, {0: Fraction(1, 2), 1: Fraction(1)}, {1: Fraction(3)}],
+        [{0: 6, 2: 4}, {0: Fraction(3), 1: 1}, {1: 2, 2: Fraction(-1, 3)}],
+    ],
+)
+def test_rank_of_other_rows_equals_the_int_row_route(rows):
+    ncols = 1 + max(c for row in rows for c in row)
+    want = len(exact._echelon([exact._int_row(r.items()) for r in rows], ncols))
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    assert want == len(dense_rref([[Fraction(v) for v in r] for r in dense])[1])
+    assert rank(rows, ncols) == want == rank(rows)
+
+
 def test_sparse_kernel_needs_column_count():
     with pytest.raises(ValueError):
         kernel_basis([{0: 1}])

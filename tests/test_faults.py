@@ -332,3 +332,63 @@ def test_relations_suite_catches_a_dy_built_as_dx(capsys, monkeypatch):
         ("[d_i,mu+]=1", 1, None, "0"),
         ("[d_i,mu+]=1", 2, None, "0"),
     }
+
+
+@pytest.mark.parametrize(
+    "attr, fault, expected",
+    [
+        # mu+ = dx1 + dx2: it no longer commutes with x_i and no longer meets dy_i
+        (
+            "y",
+            lambda real, cls, m, i: cls.dx(m, i),
+            {
+                ("[x_i,mu+]=0", 1, None, "-1"),
+                ("[x_i,mu+]=0", 2, None, "-1"),
+                ("[d_i,mu+]=1", 1, None, "0"),
+                ("[d_i,mu+]=1", 2, None, "0"),
+            },
+        ),
+        # mu- = dy1 + dy2: [y1 + y2, dy1 + dy2] = -2, and mu- no longer meets x_i
+        (
+            "dx",
+            lambda real, cls, m, i: cls.dy(m, i),
+            {
+                ("[mu+,mu-]=0", None, None, "-2"),
+                ("[mu-,x_i]=1", 1, None, "0"),
+                ("[mu-,x_i]=1", 2, None, "0"),
+            },
+        ),
+        # mu- = y1 + y2: [dy_i, y_i] = 1, and mu- no longer meets x_i
+        (
+            "dx",
+            lambda real, cls, m, i: cls.y(m, i),
+            {
+                ("[d_i,mu-]=0", 1, None, "1"),
+                ("[d_i,mu-]=0", 2, None, "1"),
+                ("[mu-,x_i]=1", 1, None, "0"),
+                ("[mu-,x_i]=1", 2, None, "0"),
+            },
+        ),
+        # x1 + dx2: [x1, x2] = [dx2, x2] = 1, and every other family still holds
+        (
+            "x",
+            lambda real, cls, m, i: real(m, i) + cls.dx(m, 2) if i == 1 else real(m, i),
+            {("[x_i,x_j]=0", 1, 2, "1"), ("[x_i,x_j]=0", 2, 1, "-1")},
+        ),
+        # dy1 + y2: [d1, d2] = [y2, dy2] = -1, and every other family still holds
+        (
+            "dy",
+            lambda real, cls, m, i: real(m, i) + cls.y(m, 2) if i == 1 else real(m, i),
+            {("[d_i,d_j]=0", 1, 2, "-1"), ("[d_i,d_j]=0", 2, 1, "1")},
+        ),
+    ],
+    ids=["y-as-dx", "dx-as-dy", "dx-as-y", "x1-plus-dx2", "dy1-plus-y2"],
+)
+def test_relations_suite_catches_a_broken_zero_family(capsys, monkeypatch, attr, fault, expected):
+    real = getattr(weyl.WeylOp, attr)
+    monkeypatch.setattr(weyl.WeylOp, attr, classmethod(lambda cls, m, i: fault(real, cls, m, i)))
+    code, report = verify(capsys, "relations", "--m", "2")
+    assert code == 1 and report["status"] == "fail"
+    assert {(f["family"], f["i"], f["j"], f["got"]) for f in report["failures"]} == expected
+    monkeypatch.undo()
+    assert verify(capsys, "relations", "--m", "2")[0] == 0

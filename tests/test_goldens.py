@@ -67,7 +67,7 @@ def test_tracer_runs_the_cli_and_reads_the_caches(tmp_path, capsys, monkeypatch)
         proc = subprocess.run(
             [sys.executable, str(BENCH / "trace_child.py"), str(span_file), "--", *args],
             capture_output=True,
-            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root},
+            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         assert main(args) == 0

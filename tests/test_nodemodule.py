@@ -9,7 +9,8 @@ from math import factorial
 
 import pytest
 
-from nodehilb import nodemodule
+from nodehilb import exact, nodemodule
+from nodehilb.cli import main
 from nodehilb.exact import Poly
 from nodehilb.nodemodule import (
     NodeClass,
@@ -269,6 +270,22 @@ class TestGeneration:
         # polynomial shifts reduced by reduce_poly and ranked through rref
         for n_max in range(13):
             assert generation_checks(n_max) == poly_generation_checks(n_max), n_max
+
+    def test_integral_scaling_never_truncates(self):
+        assert nodemodule._integral(Fraction(6, 3)) == 2
+        assert type(nodemodule._integral(Fraction(6, 3))) is int
+        with pytest.raises(ValueError):
+            nodemodule._integral(Fraction(1, 2))
+
+
+def test_node_suite_ranks_only_int_rows(capsys, monkeypatch):
+    # every row the node suite ranks is built in int, so none is converted
+    def converted(items):
+        raise AssertionError("a row went through _int_row")
+
+    monkeypatch.setattr(exact, "_int_row", converted)
+    assert main(["verify", "node", "--n-max", "6"]) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
 
 
 class TestNoExtension:
