@@ -24,16 +24,6 @@ from .weyl import generator_element, generators, verify_relations
 
 DESK_LIMITS = {"relations_m": 5, "node_n": 15, "kernel_n": 15, "series_order": 64}
 
-# the --format values each subcommand accepts; main rejects any other first
-FORMATS = {
-    "betti": ("plain", "csv", "json"),
-    "series": ("plain", "csv", "json"),
-    "components": ("plain", "json"),
-    "kernel": ("plain", "json"),
-    "paving": ("plain", "json"),
-    "verify": ("plain", "json"),
-}
-
 
 def _run_scale() -> int:
     """The RUN_SCALE multiplier: 1 when unset, else a positive integer.
@@ -62,8 +52,9 @@ def _emit(text: str):
         sys.stdout.write("\n")
 
 
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+def _emit_report(fmt: str, obj: dict, lines: list[str]) -> None:
+    """Print a report: ``obj`` for json, else ``lines`` as plain text."""
+    _emit(json.dumps(obj, indent=2) if fmt == "json" else "\n".join(lines))
 
 
 def _status(ok: bool) -> str:
@@ -76,18 +67,21 @@ def _emit_rows(rows: list[list[str]], fmt: str, head: dict) -> None:
     json puts the rows under the fields of ``head``; plain prints each row
     space separated, and csv comma separated after its n.
     """
-    if fmt == "json":
-        _emit_json({**head, "rows": [{"n": n, "coeffs": row} for n, row in enumerate(rows)]})
-    elif fmt == "plain":
-        _emit("\n".join(" ".join(row) for row in rows))
-    else:
+    if fmt == "csv":
         _emit("\n".join(",".join([str(n), *row]) for n, row in enumerate(rows)))
+    else:
+        _emit_report(
+            fmt,
+            {**head, "rows": [{"n": n, "coeffs": row} for n, row in enumerate(rows)]},
+            [" ".join(row) for row in rows],
+        )
 
 
 # -- betti ---------------------------------------------------------------------
 
 
-def run_betti(n_max: int, fmt: str) -> int:
+def run_betti(args) -> int:
+    n_max = args.n_max
     if n_max < 0:
         print("error: --n-max must be >= 0", file=sys.stderr)
         return 2
@@ -107,7 +101,7 @@ def run_betti(n_max: int, fmt: str) -> int:
         )
     _emit_rows(
         [[str(v) for v in row] for row in rows],
-        fmt,
+        args.format,
         {"name": "betti", "parameters": {"n_max": n_max}, "status": _status(ok)},
     )
     return 0 if ok else 1
@@ -116,7 +110,8 @@ def run_betti(n_max: int, fmt: str) -> int:
 # -- series --------------------------------------------------------------------
 
 
-def run_series(which: str, order: int, fmt: str) -> int:
+def run_series(args) -> int:
+    which, order = args.which, args.order
     if order < 0:
         print("error: --order must be >= 0", file=sys.stderr)
         return 2
@@ -130,35 +125,30 @@ def run_series(which: str, order: int, fmt: str) -> int:
         print(f"error: unknown series {which!r}", file=sys.stderr)
         return 2
     s = makers[which](order)
-    _emit_rows([[frac_str(v) for v in s.row(n)] for n in range(order + 1)], fmt, {"order": order})
+    _emit_rows(
+        [[frac_str(v) for v in s.row(n)] for n in range(order + 1)], args.format, {"order": order}
+    )
     return 0
 
 
 # -- components ------------------------------------------------------------------
 
 
-def run_components(n: int, m: int, fmt: str) -> int:
+def run_components(args) -> int:
+    n, m = args.n, args.m
     if n < 0 or m < 1:
         print("error: need --n >= 0 and --m >= 1", file=sys.stderr)
         return 2
     count = geometry.component_count(n, m)
     obj = {"name": "components", "parameters": {"n": n, "m": m}, "count": count}
+    lines = [f"components: {count}"]
     if m == 2:
         obj["components"] = [[n, k] for k in range(n + 1)]
         obj["intersections"] = [[k, k + 1] for k in range(n)]
-    if fmt == "json":
-        _emit_json(obj)
-    else:
-        lines = [f"components: {count}"]
-        if m == 2:
-            lines.append(" ".join(f"M({n},{k})" for k in range(n + 1)))
-            if n >= 1:
-                lines.append(
-                    "intersections: " + " ".join(f"E({n}|{k},{k + 1})" for k in range(n))
-                )
-            else:
-                lines.append("intersections: none")
-        _emit("\n".join(lines))
+        lines.append(" ".join(f"M({n},{k})" for k in range(n + 1)))
+        meets = " ".join(f"E({n}|{k},{k + 1})" for k in range(n))
+        lines.append(f"intersections: {meets or 'none'}")
+    _emit_report(args.format, obj, lines)
     return 0
 
 
@@ -173,7 +163,8 @@ def _class_label(cls) -> str:
     )
 
 
-def run_kernel(n: int, fmt: str) -> int:
+def run_kernel(args) -> int:
+    n = args.n
     if n < 1:
         print("error: need --n >= 1", file=sys.stderr)
         return 2
@@ -185,42 +176,37 @@ def run_kernel(n: int, fmt: str) -> int:
     comps = [
         {"k": k, "kernel": [_class_label(v) for v in kernels[k]]} for k in sorted(kernels)
     ]
-    if fmt == "json":
-        _emit_json({"name": "kernel", "parameters": {"n": n}, "components": comps})
-    else:
-        _emit(
-            "\n".join(
-                f"k={c['k']}: " + ("; ".join(c["kernel"]) if c["kernel"] else "0")
-                for c in comps
-            )
-        )
+    _emit_report(
+        args.format,
+        {"name": "kernel", "parameters": {"n": n}, "components": comps},
+        [f"k={c['k']}: " + ("; ".join(c["kernel"]) or "0") for c in comps],
+    )
     return 0
 
 
 # -- paving ----------------------------------------------------------------------
 
 
-def run_paving(n: int, fmt: str) -> int:
+def run_paving(args) -> int:
+    n = args.n
     if n < 0:
         print("error: need --n >= 0", file=sys.stderr)
         return 2
     cells = geometry.paving_cells(n)
     census = [str(v) for v in geometry.paving_census(n)]
-    if fmt == "json":
-        _emit_json(
-            {
-                "name": "paving",
-                "parameters": {"n": n},
-                "cells": [
-                    {"a": c.a, "b": c.b, "c": c.c, "d": c.d, "dim": c.dim} for c in cells
-                ],
-                "census": census,
-            }
-        )
-    else:
-        lines = [f"a={c.a} b={c.b} c={c.c} d={c.d} dim={c.dim}" for c in cells]
-        lines.append("census: " + " ".join(census))
-        _emit("\n".join(lines))
+    _emit_report(
+        args.format,
+        {
+            "name": "paving",
+            "parameters": {"n": n},
+            "cells": [{"a": c.a, "b": c.b, "c": c.c, "d": c.d, "dim": c.dim} for c in cells],
+            "census": census,
+        },
+        [
+            *(f"a={c.a} b={c.b} c={c.c} d={c.d} dim={c.dim}" for c in cells),
+            "census: " + " ".join(census),
+        ],
+    )
     return 0
 
 
@@ -356,7 +342,9 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def run_verify(target: str, flags: dict, fmt: str) -> int:
+def run_verify(args) -> int:
+    target = args.target
+    flags = {s.flag: getattr(args, _dest(s.flag)) for s in SUITES.values()}
     suites = list(SUITES.values()) if target == "all" else [SUITES[target]]
     sweep = target == "all"
     reads = {s.flag for s in suites if not (sweep and s.swept)}
@@ -382,17 +370,24 @@ def run_verify(target: str, flags: dict, fmt: str) -> int:
         for s, bound in runs
     ]
     status = _status(_all_pass(reports))
-    if fmt == "json":
-        _emit_json({"name": f"verify-{target}", "status": status, "reports": reports})
-    else:
-        lines = [
-            f"{r['status'].upper()}: {r['name']} {json.dumps(r['parameters'])}" for r in reports
-        ]
-        _emit("\n".join([*lines, f"overall: {status.upper()}"]))
+    _emit_report(
+        args.format,
+        {"name": f"verify-{target}", "status": status, "reports": reports},
+        [
+            *(f"{r['status'].upper()}: {r['name']} {json.dumps(r['parameters'])}" for r in reports),
+            f"overall: {status.upper()}",
+        ],
+    )
     return 0 if status == "pass" else 1
 
 
 # -- argument parsing ------------------------------------------------------------
+
+
+def _declare(p: argparse.ArgumentParser, run, *formats: str) -> None:
+    """Close a subcommand: its --format values (the first is the default) and its runner."""
+    p.add_argument("--format", default=formats[0])
+    p.set_defaults(run=run, formats=formats)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,31 +399,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="graded dimension table, cross-checked")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", default="plain")
+    _declare(p, run_betti, "plain", "csv", "json")
 
     p = sub.add_parser("series", help="one of the four series routes")
     p.add_argument("--which", default="closed")
     p.add_argument("--order", type=int, default=30)
-    p.add_argument("--format", default="plain")
+    _declare(p, run_series, "plain", "csv", "json")
 
     p = sub.add_parser("components", help="irreducible component combinatorics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--format", default="plain")
+    _declare(p, run_components, "plain", "json")
 
     p = sub.add_parser("kernel", help="joint pullback kernels per component")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", default="json")
+    _declare(p, run_kernel, "json", "plain")
 
     p = sub.add_parser("paving", help="affine paving cells and census")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", default="plain")
+    _declare(p, run_paving, "plain", "json")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("target", choices=[*SUITES, "all"])
     for flag in dict.fromkeys(s.flag for s in SUITES.values()):
         p.add_argument(flag, type=int)
-    p.add_argument("--format", default="json")
+    _declare(p, run_verify, "json", "plain")
 
     return parser
 
@@ -440,23 +435,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format not in FORMATS[args.command]:
+    if args.format not in args.formats:
         print(f"error: invalid format {args.format!r}", file=sys.stderr)
         return 2
-    if args.command == "betti":
-        return run_betti(args.n_max, args.format)
-    if args.command == "series":
-        return run_series(args.which, args.order, args.format)
-    if args.command == "components":
-        return run_components(args.n, args.m, args.format)
-    if args.command == "kernel":
-        return run_kernel(args.n, args.format)
-    if args.command == "paving":
-        return run_paving(args.n, args.format)
-    if args.command == "verify":
-        flags = {s.flag: getattr(args, _dest(s.flag)) for s in SUITES.values()}
-        return run_verify(args.target, flags, args.format)
-    raise AssertionError("unreachable")
+    return args.run(args)
 
 
 if __name__ == "__main__":

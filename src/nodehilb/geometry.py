@@ -189,7 +189,7 @@ class PullbackCollision(ValueError):
 
 def _unhit_classes(n: int, source: list[CohElem], hit: set[int]) -> list[CohClass]:
     """The class of each source column that no row hits, in source order."""
-    return [CohClass(n, {e: 1}) for col, e in enumerate(source) if col not in hit]
+    return [CohClass._from_clean(n, {e: 1}) for col, e in enumerate(source) if col not in hit]
 
 
 def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
@@ -217,7 +217,7 @@ def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
         maps = (("x1", pullback_x1, k), ("x2", pullback_x2, k - 1))
         rows: dict = {}  # (tag, target class) -> the one column that hits it
         for col, e in enumerate(source):
-            cls = CohClass(n, {e: 1})
+            cls = CohClass._from_clean(n, {e: 1})  # coh_basis has validated e
             for tag, pb, target_k in maps:
                 for t in pb(cls).coeffs:
                     if t.k == target_k and rows.setdefault((tag, t), col) != col:

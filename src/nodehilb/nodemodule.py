@@ -43,7 +43,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .exact import Poly, add_into, monomial_key, rank
-from .weyl import Generator, generator_element
+from .weyl import Generator, generator_element, generators
 
 M = 2  # the node has two branches; everything in this module is at m = 2
 
@@ -57,12 +57,6 @@ def u_generator_exponents(n: int, d: int) -> list[tuple[int, int, int]]:
     if rest < 0:
         return []
     return [(a, rest - a, s) for a in range(rest + 1)]
-
-
-def u_generator_poly(a: int, b: int, s: int) -> Poly:
-    p = Poly.monomial(M, (a, b, 0, 0))
-    p = p * (Poly.y(M, 1) + Poly.y(M, 2)) ** s
-    return p * (Poly.x(M, 1) - Poly.x(M, 2))
 
 
 def piece_monomials(n: int, d: int) -> list[tuple]:
@@ -97,15 +91,10 @@ def _normal_form(e: tuple) -> list:
     return terms
 
 
-class PieceData(NamedTuple):
-    """One bidegree of the quotient."""
-
-    basis: tuple  # non-pivot monomials, largest first = canonical basis
-
-
 @lru_cache(maxsize=None)
-def piece_data(n: int, d: int) -> PieceData:
-    return PieceData(tuple(e for e in piece_monomials(n, d) if not _is_pivot(e)))
+def piece_data(n: int, d: int) -> tuple:
+    """The canonical basis of the (n, d) piece: its non-pivot monomials, largest first."""
+    return tuple(e for e in piece_monomials(n, d) if not _is_pivot(e))
 
 
 class NodeClass(NamedTuple):
@@ -117,11 +106,6 @@ class NodeClass(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
-
-    def coordinates(self) -> list:
-        """Coefficients over the canonical basis of the (n, d) piece."""
-        data = piece_data(self.n, self.d)
-        return [self.rep.coefficient(e) for e in data.basis]
 
     def __str__(self):
         return f"[{self.rep}] @ (n={self.n}, d={self.d})"
@@ -154,8 +138,7 @@ def dim_piece(n: int, d: int) -> int:
         raise ValueError(f"homological degree must be even, got {d}")
     if n < 0 or d < 0:
         return 0
-    data = piece_data(n, d)
-    return len(data.basis)
+    return len(piece_data(n, d))
 
 
 def dim_ambient(n: int, d: int) -> int:
@@ -265,11 +248,11 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
     dn, dd = g.bidegree
     n2, d2 = n + dn, d + dd
     if not _piece_in_range(n2, d2):
-        return tuple(() for _ in src.basis)
+        return tuple(() for _ in src)
     _check_index(g)
-    tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2).basis)}
+    tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2))}
     cols = []
-    for e in src.basis:
+    for e in src:
         image: dict = {}
         for f, c in _image_terms(g, e):
             add_into(image, _normal_form(f), c)
@@ -279,7 +262,7 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
 
 def commutator_columns(a: Generator, b: Generator, n: int, d: int) -> list[dict]:
     """Sparse columns of [a, b] on the (n, d) piece, +a b and -b a in one pass."""
-    out: list[dict] = [{} for _ in piece_data(n, d).basis]
+    out: list[dict] = [{} for _ in piece_data(n, d)]
     for first, second, sign in ((b, a, 1), (a, b, -1)):
         mid_n, mid_d = n + first.bidegree[0], d + first.bidegree[1]
         if not _piece_in_range(mid_n, mid_d):
@@ -291,14 +274,6 @@ def commutator_columns(a: Generator, b: Generator, n: int, d: int) -> list[dict]
     return out
 
 
-def _columns_are_zero(cols: list[dict]) -> bool:
-    return all(not c for c in cols)
-
-
-def _columns_are_identity(cols: list[dict]) -> bool:
-    return all(c == {j: 1} for j, c in enumerate(cols))
-
-
 class PieceCheck(NamedTuple):
     name: str
     n: int
@@ -306,48 +281,34 @@ class PieceCheck(NamedTuple):
     ok: bool
 
 
-def relation_matrix_checks(n_max: int) -> list[PieceCheck]:
-    """All defining commutators as exact matrix identities on pieces n <= n_max.
+_x1, _x2, _d1, _d2, _mup, _mum = generators(M)
 
-    [d_i, mu+] and [mu-, x_i] must be the identity on every piece, all other
-    generator pairs must commute on the nose.
-    """
-    xs = [Generator("x", i) for i in (1, 2)]
-    ds = [Generator("d", i) for i in (1, 2)]
-    mup, mum = Generator("mu+"), Generator("mu-")
+# The defining relations of A as (name, a, b, whether [a, b] is the identity
+# rather than zero), in report order: [d_i, mu+] = [mu-, x_i] = 1, and every
+# other pair of generators commutes.
+RELATIONS = [
+    (f"[{a},{b}]={'id' if ident else 0}", a, b, ident)
+    for a, b, ident in [
+        (_d1, _mup, True), (_d2, _mup, True), (_mum, _x1, True), (_mum, _x2, True),
+        (_x1, _x1, False), (_x1, _x2, False), (_x2, _x1, False), (_x2, _x2, False),
+        (_d1, _d1, False), (_d1, _d2, False), (_d2, _d1, False), (_d2, _d2, False),
+        (_d1, _x1, False), (_d1, _x2, False), (_d2, _x1, False), (_d2, _x2, False),
+        (_x1, _mup, False), (_x2, _mup, False), (_d1, _mum, False), (_d2, _mum, False),
+        (_mup, _mum, False),
+    ]
+]
+
+
+def relation_matrix_checks(n_max: int) -> list[PieceCheck]:
+    """Every entry of ``RELATIONS`` as an exact matrix identity on each piece n <= n_max."""
     checks = []
     for n in range(n_max + 1):
         for j in range(n + 1):
             d = 2 * j
-
-            def zero(name, a, b):
-                checks.append(
-                    PieceCheck(name, n, d, _columns_are_zero(commutator_columns(a, b, n, d)))
-                )
-
-            def ident(name, a, b):
-                checks.append(
-                    PieceCheck(name, n, d, _columns_are_identity(commutator_columns(a, b, n, d)))
-                )
-
-            for i, gi in enumerate(ds, 1):
-                ident(f"[d{i},mu+]=id", gi, mup)
-            for i, gi in enumerate(xs, 1):
-                ident(f"[mu-,x{i}]=id", mum, gi)
-            for i, a in enumerate(xs, 1):
-                for k, b in enumerate(xs, 1):
-                    zero(f"[x{i},x{k}]=0", a, b)
-            for i, a in enumerate(ds, 1):
-                for k, b in enumerate(ds, 1):
-                    zero(f"[d{i},d{k}]=0", a, b)
-            for i, a in enumerate(ds, 1):
-                for k, b in enumerate(xs, 1):
-                    zero(f"[d{i},x{k}]=0", a, b)
-            for i, a in enumerate(xs, 1):
-                zero(f"[x{i},mu+]=0", a, mup)
-            for i, a in enumerate(ds, 1):
-                zero(f"[d{i},mu-]=0", a, mum)
-            zero("[mu+,mu-]=0", mup, mum)
+            for name, a, b, ident in RELATIONS:
+                cols = commutator_columns(a, b, n, d)
+                ok = all(c == {i: 1} for i, c in enumerate(cols)) if ident else not any(cols)
+                checks.append(PieceCheck(name, n, d, ok))
     return checks
 
 
@@ -361,7 +322,7 @@ def injectivity_checks(n_max: int) -> list[PieceCheck]:
                 d = 2 * j
                 # injective iff the columns are independent in the target piece
                 cols = operator_columns(g, n, d)
-                target = piece_data(n + g.bidegree[0], d + g.bidegree[1]).basis
+                target = piece_data(n + g.bidegree[0], d + g.bidegree[1])
                 ok = rank([dict(col) for col in cols], len(target)) == len(cols)
                 checks.append(PieceCheck(f"mult-by-{g}-injective", n, d, ok))
     return checks
@@ -408,8 +369,7 @@ def generation_checks(n_max: int) -> list[GenerationCheck]:
             for k in range(n + 1)
         ]
         for K in range(n, n_max + 1):
-            data = piece_data(K, 2 * n)
-            index = {e: i for i, e in enumerate(data.basis)}
+            index = {e: i for i, e in enumerate(piece_data(K, 2 * n))}
             rows = []
             for a in range(K - n + 1):
                 b = K - n - a
@@ -418,7 +378,7 @@ def generation_checks(n_max: int) -> list[GenerationCheck]:
                     for (a1, a2, b1, b2), c in fc:
                         add_into(row, _normal_form((a1 + a, a2 + b, b1, b2)), c)
                     rows.append({index[e]: c for e, c in row.items()})
-            checks.append(GenerationCheck(K, n, rank(rows, len(index)), len(data.basis)))
+            checks.append(GenerationCheck(K, n, rank(rows, len(index)), len(index)))
     return checks
 
 

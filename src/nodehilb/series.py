@@ -58,14 +58,6 @@ class Series2:
                 raise ValueError("coefficient array has the wrong shape")
             self.c = [list(row) for row in c]
 
-    @classmethod
-    def from_poly(cls, poly: Poly2, order: int) -> "Series2":
-        s = cls(order)
-        for (i, j), v in poly.items():
-            if i <= order and j <= order:
-                s.c[i][j] = v
-        return s
-
     def row(self, n: int) -> list:
         """Coefficients of q^n for j = 0..n (degrees beyond 2n are zero here)."""
         return [self.c[n][j] for j in range(n + 1)]
@@ -227,19 +219,6 @@ def _component_masses(acc: list[int], n: int, k: int) -> list[int]:
 def _running_sums(acc: list[int]) -> list[int]:
     """Divide point masses by (1-u)^2: two running sums."""
     return list(accumulate(accumulate(acc)))
-
-
-def component_poincare(n: int, k: int) -> list[int]:
-    """Poincare polynomial (in t^2) of the component with k points on one branch.
-
-    The component is the blow-up of P^(n-k) x P^k along P^(n-k-1) x P^(k-1):
-    the blown-up product contributes (1+..+t^(2(n-k))) (1+..+t^(2k)) and the
-    exceptional divisor adds t^2 (1+..+t^(2(k-1))) (1+..+t^(2(n-k-1))).
-    Degree 2n and palindromic.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"component index {k} out of range for n={n}")
-    return _running_sums(_component_masses([0] * (n + 1), n, k))
 
 
 def intersection_poincare(n: int, k: int) -> list[int]:

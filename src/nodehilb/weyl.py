@@ -145,12 +145,6 @@ class WeylOp(Combination):
     def dy(cls, m: int, i: int) -> "WeylOp":
         return cls._single(m, 3, i)
 
-    def bernstein_degree(self) -> int:
-        """Total degree in all 4m symbols; 0 for the zero operator."""
-        if not self.coeffs:
-            return 0
-        return max(sum(sum(t) for t in key) for key in self.coeffs)
-
     # -- module action -----------------------------------------------------
 
     def act(self, p: Poly) -> Poly:

@@ -12,9 +12,11 @@ element and reduces, independently of the package's exponent read-off;
 ``weyl_commutator_columns`` composes those columns one product at a time.
 ``poly_generation_checks`` builds the generation rows by multiplying
 polynomials and reducing them, and ranks them through ``rref``.
-``poly_dim_submodule`` ranks the spanning elements of U, each built whole by
-``u_generator_poly``.  ``box_count_mv_pv`` sums the Mayer-Vietoris rows
-coefficient by coefficient with the trapezoid count ``box_count``.
+``u_generator_poly`` builds the spanning element x1^a x2^b (y1+y2)^s (x1-x2)
+of U by polynomial products, and ``poly_dim_submodule`` ranks those elements.
+``box_count_mv_pv`` sums the Mayer-Vietoris rows coefficient by coefficient
+with the trapezoid count ``box_count``; ``component_poincare`` is one
+component's Poincare polynomial from the package's own point masses.
 ``pullback_matrix`` builds the matrix of both pullbacks on one component over
 the full target bases, for ``kernel_basis`` to eliminate, independently of
 the package's read-off of the kernel.
@@ -37,9 +39,8 @@ from nodehilb.nodemodule import (
     piece_monomials,
     reduce_poly,
     u_generator_exponents,
-    u_generator_poly,
 )
-from nodehilb.series import Series2
+from nodehilb.series import Series2, _component_masses, _running_sums
 from nodehilb.weyl import Generator, generator_element, generators
 
 
@@ -125,6 +126,13 @@ def span_solve(vectors: Sequence[Poly], target: Poly) -> list[Fraction] | None:
     return solve_columns(columns, rhs)
 
 
+def u_generator_poly(a: int, b: int, s: int) -> Poly:
+    """The spanning element x1^a x2^b (y1+y2)^s (x1-x2) of U, built whole."""
+    p = Poly.monomial(M, (a, b, 0, 0))
+    p = p * (Poly.y(M, 1) + Poly.y(M, 2)) ** s
+    return p * (Poly.x(M, 1) - Poly.x(M, 2))
+
+
 def random_u_element(rng, n_cap: int = 6) -> Poly:
     """A random homogeneous element of U with small exponents."""
     a = rng.randrange(n_cap)
@@ -160,9 +168,9 @@ def weyl_operator_columns(g: Generator, n: int, d: int) -> tuple:
     Cached like the package's columns, since every commutator reuses them.
     """
     n2, d2 = n + g.bidegree[0], d + g.bidegree[1]
-    tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2).basis)}
+    tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2))}
     cols = []
-    for e in piece_data(n, d).basis:
+    for e in piece_data(n, d):
         image = apply_generator(g, NodeClass(Poly.monomial(M, e), n, d))
         cols.append(tuple(sorted((tgt_index[f], c) for f, c in image.rep.coeffs.items())))
     return tuple(cols)
@@ -203,8 +211,8 @@ def poly_generation_checks(n_max: int) -> list[GenerationCheck]:
     for n in range(n_max + 1):
         fcs = [fundamental_class(n, k) for k in range(n + 1)]
         for K in range(n, n_max + 1):
-            data = piece_data(K, 2 * n)
-            index = {e: i for i, e in enumerate(data.basis)}
+            basis = piece_data(K, 2 * n)
+            index = {e: i for i, e in enumerate(basis)}
             rows = []
             for a in range(K - n + 1):
                 b = K - n - a
@@ -213,7 +221,7 @@ def poly_generation_checks(n_max: int) -> list[GenerationCheck]:
                     v = reduce_poly(shift * fc.rep, (K, 2 * n))
                     rows.append({index[e]: c for e, c in v.rep.coeffs.items()})
             _, pivots = rref(rows)
-            checks.append(GenerationCheck(K, n, len(pivots), len(data.basis)))
+            checks.append(GenerationCheck(K, n, len(pivots), len(basis)))
     return checks
 
 
@@ -236,6 +244,19 @@ def box_count(a: int, b: int, j: int) -> int:
     if not 0 <= j <= a + b - 2:
         return 0
     return min(j, a - 1, b - 1, a + b - 2 - j) + 1
+
+
+def component_poincare(n: int, k: int) -> list[int]:
+    """Poincare polynomial (in t^2) of the component with k points on one branch.
+
+    The component is the blow-up of P^(n-k) x P^k along P^(n-k-1) x P^(k-1):
+    the blown-up product contributes (1+..+t^(2(n-k))) (1+..+t^(2k)) and the
+    exceptional divisor adds t^2 (1+..+t^(2(k-1))) (1+..+t^(2(n-k-1))).
+    Degree 2n and palindromic.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"component index {k} out of range for n={n}")
+    return _running_sums(_component_masses([0] * (n + 1), n, k))
 
 
 def box_count_mv_pv(order: int) -> Series2:

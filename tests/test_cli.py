@@ -248,6 +248,27 @@ class TestArgumentRejection:
         assert code == 2 and "invalid format" in err
 
 
+class TestDefaultFormat:
+    # the parser holds each subcommand's default --format, the first it accepts
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (["betti", "--n-max", "3"], "plain"),
+            (["series", "--order", "4"], "plain"),
+            (["components", "--n", "2"], "plain"),
+            (["paving", "--n", "2"], "plain"),
+            (["kernel", "--n", "3"], "json"),
+            (["verify", "relations", "--m", "1"], "json"),
+        ],
+    )
+    def test_no_format_is_the_documented_default(self, capsys, argv, default):
+        bare = run(capsys, *argv)
+        assert bare[0] == 0
+        assert bare == run(capsys, *argv, "--format", default)
+        other = "json" if default == "plain" else "plain"
+        assert bare != run(capsys, *argv, "--format", other)
+
+
 class TestFormatCheckedFirst:
     # one compute function per subcommand, which must not run on a bad format
     @pytest.mark.parametrize(

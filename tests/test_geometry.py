@@ -21,8 +21,8 @@ from nodehilb.geometry import (
     punctual_cells,
     top_zeta_class,
 )
-from nodehilb.series import component_poincare, paving_pv
-from oracles import pullback_matrix
+from nodehilb.series import paving_pv
+from oracles import component_poincare, pullback_matrix
 
 
 class TestComponentCount:

@@ -30,13 +30,13 @@ from nodehilb.nodemodule import (
     reduce_poly,
     relation_matrix_checks,
     u_generator_exponents,
-    u_generator_poly,
 )
 from nodehilb.weyl import Generator, generators
 from oracles import (
     poly_dim_submodule,
     poly_generation_checks,
     span_solve,
+    u_generator_poly,
     u_preservation_checks,
     weyl_commutator_columns,
     weyl_operator_columns,
@@ -252,9 +252,8 @@ class TestGeneration:
     def test_diagonal_alone(self):
         # on the diagonal the fundamental classes themselves are a basis
         for n in range(6):
-            data = piece_data(n, 2 * n)
             vectors = [fundamental_class(n, k).rep for k in range(n + 1)]
-            for target_exps in data.basis:
+            for target_exps in piece_data(n, 2 * n):
                 target = Poly.monomial(2, target_exps)
                 assert span_solve(vectors, target) is not None
 
@@ -312,6 +311,19 @@ class TestOperatorIdentities:
     def test_relation_matrices_to_six(self):
         checks = relation_matrix_checks(6)
         assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+
+    def test_relation_table_is_pinned(self):
+        # the 21 defining relations per piece, in report order
+        assert [c.name for c in relation_matrix_checks(0)] == [
+            "[d1,mu+]=id", "[d2,mu+]=id", "[mu-,x1]=id", "[mu-,x2]=id",
+            "[x1,x1]=0", "[x1,x2]=0", "[x2,x1]=0", "[x2,x2]=0",
+            "[d1,d1]=0", "[d1,d2]=0", "[d2,d1]=0", "[d2,d2]=0",
+            "[d1,x1]=0", "[d1,x2]=0", "[d2,x1]=0", "[d2,x2]=0",
+            "[x1,mu+]=0", "[x2,mu+]=0", "[d1,mu-]=0", "[d2,mu-]=0",
+            "[mu+,mu-]=0",
+        ]
+        for n in range(6):
+            assert len(relation_matrix_checks(n)) == 21 * (n + 1) * (n + 2) // 2
 
     def test_injectivity_to_six(self):
         checks = injectivity_checks(6)
@@ -375,16 +387,6 @@ class TestUPreservation:
 
 
 class TestNodeClass:
-    def test_coordinates_roundtrip(self):
-        cls = reduce_poly(2 * Y1 * Y2 + Y1**2, (2, 4))
-        data = piece_data(2, 4)
-        coords = cls.coordinates()
-        rebuilt = sum(
-            (Poly.monomial(2, e) * c for e, c in zip(data.basis, coords)),
-            Poly.zero(2),
-        )
-        assert rebuilt == cls.rep
-
     def test_str(self):
         cls = reduce_poly(Y1, (1, 2))
         assert str(cls) == "[y1] @ (n=1, d=2)"

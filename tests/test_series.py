@@ -13,7 +13,6 @@ from nodehilb.series import (
     ambient_module_pv,
     closed_form,
     closed_form_pv,
-    component_poincare,
     expand,
     intersection_poincare,
     module_pv,
@@ -25,7 +24,7 @@ from nodehilb.series import (
     series_equal,
     submodule_pv,
 )
-from oracles import box_count_mv_pv
+from oracles import box_count_mv_pv, component_poincare
 
 KNOWN_ROWS = [
     [1],
@@ -100,8 +99,10 @@ class TestExpand:
         rf = closed_form()
         order = 12
         s = expand(rf, order)
-        den_series = Series2.from_poly(dict(rf.den), order)
-        num_series = Series2.from_poly(dict(rf.num), order)
+        den_series, num_series = Series2(order), Series2(order)
+        for out, poly in ((den_series, rf.den), (num_series, rf.num)):
+            for (i, j), v in dict(poly).items():
+                out.c[i][j] = v
         assert s * den_series == num_series
 
     def test_non_unit_constant_term(self):
@@ -273,7 +274,7 @@ class TestRouteIndependence:
 
     def test_paving_reaches_no_mayer_vietoris_code(self):
         assert {"expand", "Series2.__mul__"} <= reached({"paving_pv"})
-        shared = reached({"paving_pv"}) & (MV_ROUTE | {"component_poincare", "intersection_poincare"})
+        shared = reached({"paving_pv"}) & (MV_ROUTE | {"intersection_poincare"})
         assert not shared, shared
 
 
@@ -382,7 +383,7 @@ class TestSeries2:
             Series2(-1)
 
     def test_mul_respects_truncation(self):
-        a = Series2.from_poly({(0, 0): 1, (1, 0): 1}, 2)
-        b = Series2.from_poly({(2, 0): 1}, 2)
+        a = Series2(2, [[1, 0, 0], [1, 0, 0], [0, 0, 0]])  # 1 + q
+        b = Series2(2, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])  # q^2
         prod = a * b
         assert prod.c[2][0] == 1  # q^3 term dropped silently
