@@ -17,7 +17,7 @@ The package is organized around:
 * :mod:`nodehilb.cli` -- the ``nodehilb`` command.
 """
 
-from .exact import Poly, kernel_basis
+from .exact import Poly
 from .geometry import (
     CohClass,
     CohElem,
@@ -41,7 +41,6 @@ from .weyl import Generator, WeylOp, commutator, generator_element, subalgebra_m
 
 __all__ = [
     "Poly",
-    "kernel_basis",
     "CohClass",
     "CohElem",
     "coh_basis",

@@ -2,11 +2,10 @@
 
 Only even homological degrees occur, so a series is stored as a square
 array c[n][j] = coefficient of q^n t^(2j); odd-degree slots do not exist
-rather than being zeros.  Coefficients are exact: Python ints wherever the
-maths is integral, which is every route below, and Fractions only where a
-division happens.  The one division is in ``expand``, when a denominator's
-constant term is not 1; every denominator built here has constant term 1.
-Ring operations respect the truncation order.
+rather than being zeros.  Every coefficient on every route below is a
+Python int: each denominator built here is a product of the two linear
+factors 1-q and 1-q t^2, and ``expand`` divides by each of them with one
+running sum over the int array.  Truncation is exact.
 
 The generating function of the graded dimensions of the node module is
 computed here by three independent routes and compared coefficient by
@@ -20,8 +19,8 @@ coefficient:
     u^s (1-u^a)(1-u^b) / (1-u)^2, so each adds four +-1 point masses to an
     int array (+1 at s and s+a+b, -1 at s+a and s+b), and two running sums
     of the array give the row,
-  * the product of the punctual factor 1 + sum_{c>=1} q^c (1 + (c-1) t^2)
-    with the smooth-locus factor 1/(1-q t^2)^2.
+  * the punctual factor 1 + sum_{c>=1} q^c (1 + (c-1) t^2) divided by the
+    smooth-locus factor (1-q t^2)^2.
 
 A fourth route comes from the module presentation: the free module
 Q[x1,x2,y1,y2] has series 1/((1-q)^2 (1-q t^2)^2), the submodule
@@ -31,9 +30,8 @@ is their difference.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
+from operator import add
 
 from . import nodemodule
 from .exact import frac_str
@@ -66,37 +64,12 @@ class Series2:
         if self.order != other.order:
             raise ValueError(f"mismatched truncation orders {self.order} vs {other.order}")
 
-    def __add__(self, other: "Series2") -> "Series2":
-        self._check_order(other)
-        return Series2(
-            self.order,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.c, other.c)],
-        )
-
     def __sub__(self, other: "Series2") -> "Series2":
         self._check_order(other)
         return Series2(
             self.order,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.c, other.c)],
         )
-
-    def __mul__(self, other: "Series2") -> "Series2":
-        self._check_order(other)
-        out = Series2(self.order)
-        nz_other = [
-            (i, j, v)
-            for i, row in enumerate(other.c)
-            for j, v in enumerate(row)
-            if v != 0
-        ]
-        for a, row in enumerate(self.c):
-            for b, u in enumerate(row):
-                if u == 0:
-                    continue
-                for i, j, v in nz_other:
-                    if a + i <= self.order and b + j <= self.order:
-                        out.c[a + i][b + j] += u * v
-        return out
 
     def __eq__(self, other):
         return (
@@ -122,79 +95,37 @@ def series_equal(a: Series2, b: Series2) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-class RationalFunction2(NamedTuple):
-    """Ratio of exact polynomials in q and t^2, expanded as a power series by :func:`expand`."""
+def expand(num: Poly2, order: int, q_factors: int, qt2_factors: int) -> Series2:
+    """num / ((1-q)^q_factors (1-q t^2)^qt2_factors), truncated at ``order``.
 
-    num: tuple
-    den: tuple
-
-    @classmethod
-    def make(cls, num: Poly2, den: Poly2) -> "RationalFunction2":
-        return cls(tuple(sorted(num.items())), tuple(sorted(den.items())))
-
-
-def poly2_mul(p: Poly2, q: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (a, b), u in p.items():
-        for (i, j), v in q.items():
-            key = (a + i, b + j)
-            c = out.get(key, 0) + u * v
-            if c == 0:
-                out.pop(key, None)
-            else:
-                out[key] = c
-    return out
-
-
-def expand(rf: RationalFunction2, order: int) -> Series2:
-    """Exact truncated expansion num/den; den must have nonzero constant term.
-
-    Coefficients are produced by the division recurrence, so multiplying the
-    result back by the denominator reproduces the numerator up to the order.
-    A constant term other than 1 is divided out of num and den once, up
-    front; the recurrence itself only multiplies and subtracts, so integer
-    inputs with a unit constant term give integer coefficients.
+    The numerator's terms inside the box are placed in the array, then each
+    factor is divided out by one running sum over the rows, in place: along
+    n for 1-q (c[n][j] += c[n-1][j]) and along the diagonal for 1-q t^2
+    (c[n][j] += c[n-1][j-1]).  Neither sum reads outside the box, so the
+    truncation is exact, and an int numerator gives int coefficients.
     """
-    num = dict(rf.num)
-    den = dict(rf.den)
-    c0 = den.get((0, 0), 0)
-    if c0 == 0:
-        raise ValueError("denominator has zero constant term, not a unit in power series")
-    if c0 != 1:
-        num = {k: Fraction(v) / c0 for k, v in num.items()}
-        den = {k: Fraction(v) / c0 for k, v in den.items()}
-    tail = [(i, j, v) for (i, j), v in den.items() if (i, j) != (0, 0)]
     out = Series2(order)
-    for n in range(order + 1):
-        for j in range(order + 1):
-            acc = num.get((n, j), 0)
-            for a, b, v in tail:
-                if a <= n and b <= j:
-                    acc -= v * out.c[n - a][j - b]
-            out.c[n][j] = acc
+    for (i, j), v in num.items():
+        if i <= order and j <= order:
+            out.c[i][j] += v
+    pairs = list(zip(out.c, out.c[1:]))
+    for _ in range(q_factors):
+        for prev, row in pairs:
+            row[:] = map(add, row, prev)
+    for _ in range(qt2_factors):
+        for prev, row in pairs:
+            row[1:] = map(add, row[1:], prev)
     return out
 
 
-def _one_minus_q() -> Poly2:
-    return {(0, 0): 1, (1, 0): -1}
-
-
-def _one_minus_qt2() -> Poly2:
-    return {(0, 0): 1, (1, 1): -1}
-
-
-def closed_form() -> RationalFunction2:
-    """(q^2 t^2 - q + 1) / ((1-q)^2 (1-q t^2)^2)."""
-    num = {(2, 1): 1, (1, 0): -1, (0, 0): 1}
-    den = poly2_mul(
-        poly2_mul(_one_minus_q(), _one_minus_q()),
-        poly2_mul(_one_minus_qt2(), _one_minus_qt2()),
-    )
-    return RationalFunction2.make(num, den)
+def closed_form() -> tuple[Poly2, int, int]:
+    """(q^2 t^2 - q + 1) / ((1-q)^2 (1-q t^2)^2): numerator and the two factor counts."""
+    return {(2, 1): 1, (1, 0): -1, (0, 0): 1}, 2, 2
 
 
 def closed_form_pv(order: int) -> Series2:
-    return expand(closed_form(), order)
+    num, q_factors, qt2_factors = closed_form()
+    return expand(num, order, q_factors, qt2_factors)
 
 
 # -- route two: inclusion-exclusion over components ---------------------------
@@ -244,7 +175,7 @@ def mv_pv(order: int) -> Series2:
     return out
 
 
-# -- route three: punctual times smooth-locus factor --------------------------
+# -- route three: punctual over smooth-locus factor ---------------------------
 
 
 def punctual_row(c: int) -> list[int]:
@@ -262,19 +193,9 @@ def punctual_row(c: int) -> list[int]:
 
 
 def paving_pv(order: int) -> Series2:
-    """Product of the punctual factor with 1/(1-q t^2)^2 for the two branches."""
-    punctual = Series2(order)
-    for n in range(order + 1):
-        for j, v in enumerate(punctual_row(n)):
-            if j <= order:
-                punctual.c[n][j] = v
-    smooth = expand(
-        RationalFunction2.make(
-            {(0, 0): 1}, poly2_mul(_one_minus_qt2(), _one_minus_qt2())
-        ),
-        order,
-    )
-    return punctual * smooth
+    """The punctual factor divided by (1-q t^2)^2, one factor per branch."""
+    punctual = {(n, j): v for n in range(order + 1) for j, v in enumerate(punctual_row(n))}
+    return expand(punctual, order, 0, 2)
 
 
 # -- route four: the module presentation --------------------------------------
@@ -282,11 +203,7 @@ def paving_pv(order: int) -> Series2:
 
 def ambient_module_pv(order: int) -> Series2:
     """Series of Q[x1,x2,y1,y2]: 1 / ((1-q)^2 (1-q t^2)^2)."""
-    den = poly2_mul(
-        poly2_mul(_one_minus_q(), _one_minus_q()),
-        poly2_mul(_one_minus_qt2(), _one_minus_qt2()),
-    )
-    return expand(RationalFunction2.make({(0, 0): 1}, den), order)
+    return expand({(0, 0): 1}, order, 2, 2)
 
 
 def submodule_pv(order: int) -> Series2:
@@ -295,8 +212,7 @@ def submodule_pv(order: int) -> Series2:
     Free on one generator of bidegree (1, 0) over a polynomial ring with two
     bidegree-(1,0) variables and one bidegree-(1,2) variable.
     """
-    den = poly2_mul(poly2_mul(_one_minus_q(), _one_minus_q()), _one_minus_qt2())
-    return expand(RationalFunction2.make({(1, 0): 1}, den), order)
+    return expand({(1, 0): 1}, order, 2, 1)
 
 
 def module_pv(order: int) -> Series2:

@@ -17,6 +17,8 @@ of U by polynomial products, and ``poly_dim_submodule`` ranks those elements.
 ``box_count_mv_pv`` sums the Mayer-Vietoris rows coefficient by coefficient
 with the trapezoid count ``box_count``; ``component_poincare`` is one
 component's Poincare polynomial from the package's own point masses.
+``truncated_product`` multiplies a series by a polynomial term by term, with
+no running sums, to check ``series.expand`` against its denominator.
 ``pullback_matrix`` builds the matrix of both pullbacks on one component over
 the full target bases, for ``kernel_basis`` to eliminate, independently of
 the package's read-off of the kernel.
@@ -269,6 +271,17 @@ def box_count_mv_pv(order: int) -> Series2:
                 sum(box_count(n - k + 1, k + 1, j) + box_count(k, n - k, j - 1) for k in range(n + 1))
                 - sum(box_count(k + 1, n - k, j) for k in range(n))
             )
+    return out
+
+
+def truncated_product(s: Series2, poly: dict) -> Series2:
+    """``s`` times the polynomial ``{(i, j): c}`` (c q^i t^(2j)), truncated at ``s.order``."""
+    out = Series2(s.order)
+    for n, row in enumerate(s.c):
+        for j, u in enumerate(row):
+            for (a, b), v in poly.items():
+                if n + a <= s.order and j + b <= s.order:
+                    out.c[n + a][j + b] += u * v
     return out
 
 

@@ -304,7 +304,6 @@ FRACTION_SITES = {
     ("exact.py", "rref"),
     ("exact.py", "kernel_basis"),
     ("nodemodule.py", "fundamental_class"),
-    ("series.py", "expand"),
 }
 
 

@@ -48,14 +48,30 @@ def series_check(report, check):
 
 def test_series_suite_catches_a_sign_flip_in_the_closed_form(capsys, monkeypatch):
     # numerator q^2 t^2 + q + 1: the q^1 row of the closed form is off by 2
-    real = series.closed_form()
-    flipped = series.RationalFunction2.make(dict(real.num) | {(1, 0): 1}, dict(real.den))
+    num, q_factors, qt2_factors = series.closed_form()
+    flipped = (num | {(1, 0): 1}, q_factors, qt2_factors)
     monkeypatch.setattr(series, "closed_form", lambda: flipped)
     code, report = verify(capsys, "series", "--order", "8")
     assert code == 1 and report["status"] == "fail"
     for label in ("mayer-vietoris", "paving"):
         entry = series_check(report, f"closed-form-equals-{label}")
         assert entry["status"] == "fail" and entry["first_difference"] == [1, 0]
+
+
+def test_series_suite_catches_a_division_one_factor_short(capsys, monkeypatch):
+    # every expansion divides by one 1-q t^2 too few.  Routes that share
+    # expand do not check each other: the closed form, the paving route and
+    # ambient minus submodule all lose the same factor and still agree.  The
+    # Mayer-Vietoris route and the enumerated dimensions share no division.
+    real = series.expand
+    monkeypatch.setattr(series, "expand", lambda num, order, q, qt2: real(num, order, q, qt2 - 1))
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 1 and report["status"] == "fail"
+    mv = series_check(report, "closed-form-equals-mayer-vietoris")
+    assert mv["status"] == "fail" and mv["first_difference"] == [1, 1]
+    assert series_check(report, "closed-form-equals-paving")["status"] == "pass"
+    first_two = [["ambient", 1, 1, "1", 2], ["quotient", 1, 1, "1", 2]]
+    assert enumeration_mismatches(report)[:2] == first_two
 
 
 def test_series_suite_catches_a_missing_exceptional_divisor(capsys, monkeypatch):
