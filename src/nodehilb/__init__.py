@@ -19,7 +19,6 @@ The package is organized around:
 
 from .exact import Poly
 from .geometry import (
-    CohClass,
     CohElem,
     coh_basis,
     component_count,
@@ -41,7 +40,6 @@ from .weyl import Generator, WeylOp, commutator, generator_element, subalgebra_m
 
 __all__ = [
     "Poly",
-    "CohClass",
     "CohElem",
     "coh_basis",
     "component_count",

@@ -5,13 +5,12 @@ Coefficients are Python ``int`` wherever the values are integral and
 division happens: in the read-out of the linear algebra below or in a caller
 that divides.  Nothing is ever rounded.
 
-Polynomials, Weyl operators (``weyl.WeylOp``) and cohomology classes
-(``geometry.CohClass``) are all sparse exact linear combinations, and share
-one class, :class:`Combination`: its constructor checks every key and drops
-zero coefficients, and it holds the sums, scalar and ring products, powers,
-equality and hashing once.  Each subclass adds only its key check, its unit
-and the product of two keys.  A sparse coefficient dict is accumulated in
-one place, :func:`add_into`.
+Polynomials and Weyl operators (``weyl.WeylOp``) are both sparse exact
+linear combinations, and share one class, :class:`Combination`: its
+constructor checks every key and drops zero coefficients, and it holds the
+sums, scalar and ring products, powers, equality and hashing once.  Each
+subclass adds only its key check, its unit and the product of two keys.  A
+sparse coefficient dict is accumulated in one place, :func:`add_into`.
 
 Polynomials live in Q[x1..xm, y1..ym].  A monomial is a flat exponent tuple
 of length ``2m`` (x-exponents first, then y-exponents), and carries the
@@ -72,8 +71,8 @@ def add_into(acc: dict, items: Iterable, scale=1) -> dict:
     """Add ``scale * c`` to ``acc[key]`` for each ``(key, c)``; returns ``acc``.
 
     The one accumulation loop of the sparse coefficient dicts of ``exact``,
-    ``weyl``, ``geometry`` and ``nodemodule`` (``series`` keeps its own, as
-    an independent route).  Entries that cancel to zero are dropped, so a
+    ``weyl`` and ``nodemodule`` (``series`` keeps its own, as an
+    independent route).  Entries that cancel to zero are dropped, so a
     dict built only through it never stores a zero.
     """
     for key, c in items:
@@ -88,28 +87,25 @@ def add_into(acc: dict, items: Iterable, scale=1) -> dict:
 class Combination:
     """Sparse exact linear combination: ``coeffs`` maps keys to nonzero numbers.
 
-    The one implementation of the arithmetic that polynomials (:class:`Poly`),
-    Weyl operators (``weyl.WeylOp``) and cohomology classes
-    (``geometry.CohClass``) share.  ``m`` is the size every key is checked
-    against: the ambient variable count, or the level of a class.  A
-    subclass supplies
+    The one implementation of the arithmetic that polynomials (:class:`Poly`)
+    and Weyl operators (``weyl.WeylOp``) share.  ``m >= 1`` is the ambient
+    component count every key is checked against.  A subclass supplies
 
     * ``_key(key)``: the key in canonical form, or ``ValueError`` if it is
       not a key at ``m``;
-    * ``_unit(m)``: the key of 1, where constants exist;
+    * ``_unit(m)``: the key of 1;
     * ``_mono_mul(k1, k2)``: the product of two keys as ``(key, int)``
-      pairs, where combinations multiply.
+      pairs.
 
     Immutable by convention: no method mutates ``coeffs`` after
     construction, so instances may be shared freely across threads.
     """
 
     __slots__ = ("m", "coeffs")
-    _min_m = 1  # smallest size accepted; None accepts any
 
     def __init__(self, m: int, coeffs: dict | None = None):
-        if self._min_m is not None and m < self._min_m:
-            raise ValueError(f"ambient component count must be >= {self._min_m}, got {m}")
+        if m < 1:
+            raise ValueError(f"ambient component count must be >= 1, got {m}")
         self.m = m
         clean = {}
         if coeffs:
@@ -118,26 +114,6 @@ class Combination:
                 if c:
                     clean[self._key(key)] = c
         self.coeffs = clean
-
-    @classmethod
-    def _from_clean(cls, m: int, coeffs: dict):
-        """An instance holding ``coeffs`` as it is, without the checks of ``__init__``.
-
-        Only for a dict whose keys the caller has already checked at ``m``
-        and whose values are nonzero exact numbers, such as one built
-        through :func:`add_into` from another instance's terms.
-        """
-        obj = object.__new__(cls)
-        obj.m = m
-        obj.coeffs = coeffs
-        return obj
-
-    @classmethod
-    def _unit(cls, m: int):
-        raise TypeError(f"{cls.__name__} has no constants")
-
-    def _mono_mul(self, k1, k2):
-        raise TypeError(f"{type(self).__name__} has no product")
 
     # -- constructors ------------------------------------------------------
 
@@ -211,11 +187,8 @@ class Combination:
 
     def __hash__(self):
         # a constant equals its scalar (see __eq__), so it hashes like one
-        try:
-            if len(self.coeffs) <= 1 and self.coeffs.keys() <= {self._unit(self.m)}:
-                return hash(sum(self.coeffs.values()))
-        except TypeError:  # no constants
-            pass
+        if len(self.coeffs) <= 1 and self.coeffs.keys() <= {self._unit(self.m)}:
+            return hash(sum(self.coeffs.values()))
         return hash((self.m, frozenset(self.coeffs.items())))
 
     def is_zero(self) -> bool:
@@ -269,9 +242,6 @@ class Poly(Combination):
         return cls.variable(m, m + i - 1)
 
     # -- structure ---------------------------------------------------------
-
-    def coefficient(self, exps: Monomial):
-        return self.coeffs.get(tuple(exps), 0)
 
     def terms(self):
         """Terms sorted by the fixed monomial order, leading term first."""

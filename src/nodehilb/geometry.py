@@ -19,9 +19,9 @@ either branch embeds level n into level n+1; the induced pullbacks act
 basis-wise (a^i b^j -> a^i b^j, zeta a^i b^j -> zeta a^i b^j), with the
 first-branch map preserving the component index and the second-branch map
 lowering it by one; any image whose exponents leave the target ranges is
-zero, since the target ring has no such class.  A class of level n is a
-``CohClass``, an ``exact.Combination`` of basis classes that all lie at
-level n; the pullbacks and the kernels are written in it.
+zero, since the target ring has no such class.  So each pullback sends a
+basis class (a ``CohElem``) to one basis class or to zero (``None``), and
+the kernels are lists of basis classes.
 
 The module also carries the affine paving of the schemes of points: cells
 are indexed by points on the two smooth loci plus a cell of the punctual
@@ -35,7 +35,6 @@ import math
 from typing import NamedTuple
 
 from . import nodemodule
-from .exact import Combination, add_into, frac_str
 from .series import intersection_poincare
 
 
@@ -119,39 +118,6 @@ def poincare_from_basis(n: int, k: int) -> list[int]:
     return out
 
 
-class CohClass(Combination):
-    """Exact linear combination of basis classes at one level ``n``.
-
-    The level is the size ``m`` of :class:`exact.Combination`, which holds
-    the arithmetic; every basis class must be at it.  Classes add and scale
-    but do not multiply, and levels are not range-checked.
-    """
-
-    __slots__ = ()
-    _min_m = None
-
-    @property
-    def n(self) -> int:
-        return self.m
-
-    def _key(self, e: CohElem) -> CohElem:
-        if e.n != self.m:
-            raise ValueError(f"class {e} is not at level {self.m}")
-        return e
-
-    def sorted_terms(self):
-        return sorted(
-            self.coeffs.items(), key=lambda kv: (kv[0].k, kv[0].degree, kv[0].kind, kv[0].i, kv[0].j)
-        )
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            (f"{frac_str(c)}*" if c != 1 else "") + str(e) for e, c in self.sorted_terms()
-        )
-
-
 def _moved(e: CohElem, new_k: int) -> CohElem | None:
     """The same-exponent class one level down in component new_k, or None."""
     n2 = e.n - 1
@@ -161,20 +127,14 @@ def _moved(e: CohElem, new_k: int) -> CohElem | None:
     return _CohElemFields.__new__(CohElem, n2, new_k, e.kind, e.i, e.j)
 
 
-def _pullback(c: CohClass, shift: int) -> CohClass:
-    # the terms of c are clean and _moved validates each key at level n - 1
-    moved = ((_moved(e, e.k - shift), v) for e, v in c.coeffs.items())
-    return CohClass._from_clean(c.n - 1, add_into({}, ((t, v) for t, v in moved if t is not None)))
-
-
-def pullback_x1(c: CohClass) -> CohClass:
+def pullback_x1(e: CohElem) -> CohElem | None:
     """Restriction along adding a point on the first branch: component k -> k."""
-    return _pullback(c, 0)
+    return _moved(e, e.k)
 
 
-def pullback_x2(c: CohClass) -> CohClass:
+def pullback_x2(e: CohElem) -> CohElem | None:
     """Restriction along adding a point on the second branch: component k -> k-1."""
-    return _pullback(c, 1)
+    return _moved(e, e.k - 1)
 
 
 class PullbackCollision(ValueError):
@@ -187,48 +147,42 @@ class PullbackCollision(ValueError):
         self.n, self.k, self.tag, self.target, self.sources = n, k, tag, target, sources
 
 
-def _unhit_classes(n: int, source: list[CohElem], hit: set[int]) -> list[CohClass]:
-    """The class of each source column that no row hits, in source order."""
-    return [CohClass._from_clean(n, {e: 1}) for col, e in enumerate(source) if col not in hit]
-
-
-def kernel_intersection(n: int) -> dict[int, list[CohClass]]:
+def kernel_intersection(n: int) -> dict[int, list[CohElem]]:
     """Joint kernel of both pullbacks on each component, below the top degree.
 
-    For each component k of level n, the exact basis of the classes of
-    degree < 2n killed by both restriction maps.  The answer is the span of
-    the single top zeta class zeta a^(n-k-1) b^(k-1) for 1 <= k <= n-1 and
-    zero for the two end components.
+    For each component k of level n, the basis classes of degree < 2n that
+    span the classes killed by both restriction maps.  The answer is the
+    single top zeta class zeta a^(n-k-1) b^(k-1) for 1 <= k <= n-1 and no
+    class for the two end components.
 
     The basis is read off, not eliminated.  Each basis class of degree
-    < 2n is pulled back along both maps, and an image counts as a row of
-    the matrix when it lands in component k (x1) or k-1 (x2).  A pullback
-    sends distinct basis classes to distinct classes or to zero, so every
-    row has at most one entry, and the kernel is spanned by the classes
-    whose column no row hits.  That read-off is guarded at run time: a row
-    hit by a second column raises :class:`PullbackCollision` with the
-    component, the map and the target class.
+    < 2n is pulled back along both maps, and an image counts as a hit when
+    it lands in component k (x1) or k-1 (x2).  A pullback sends distinct
+    basis classes to distinct classes or to zero, so the kernel is spanned
+    by the source classes that hit nothing.  That read-off is guarded at
+    run time: a target hit by a second source class raises
+    :class:`PullbackCollision` with the component, the map and the target.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    result: dict[int, list[CohClass]] = {}
+    result: dict[int, list[CohElem]] = {}
     for k in range(n + 1):
         source = [e for e in coh_basis(n, k) if e.degree < 2 * n]
         maps = (("x1", pullback_x1, k), ("x2", pullback_x2, k - 1))
-        rows: dict = {}  # (tag, target class) -> the one column that hits it
-        for col, e in enumerate(source):
-            cls = CohClass._from_clean(n, {e: 1})  # coh_basis has validated e
+        hits: dict = {}  # (tag, target class) -> the one source class that hits it
+        for e in source:
             for tag, pb, target_k in maps:
-                for t in pb(cls).coeffs:
-                    if t.k == target_k and rows.setdefault((tag, t), col) != col:
-                        raise PullbackCollision(n, k, tag, t, (source[rows[tag, t]], e))
-        result[k] = _unhit_classes(n, source, set(rows.values()))
+                t = pb(e)
+                if t is not None and t.k == target_k and hits.setdefault((tag, t), e) != e:
+                    raise PullbackCollision(n, k, tag, t, (hits[tag, t], e))
+        hitting = set(hits.values())
+        result[k] = [e for e in source if e not in hitting]
     return result
 
 
-def top_zeta_class(n: int, k: int) -> CohClass:
+def top_zeta_class(n: int, k: int) -> CohElem:
     """zeta a^(n-k-1) b^(k-1), the unique top-degree zeta basis class."""
-    return CohClass(n, {CohElem(n, k, "zeta", n - k - 1, k - 1): 1})
+    return CohElem(n, k, "zeta", n - k - 1, k - 1)
 
 
 def mv_dimension_check(n: int) -> dict:

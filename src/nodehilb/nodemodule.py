@@ -151,12 +151,16 @@ def dim_submodule(n: int, d: int) -> int:
     gens = u_generator_exponents(n, d)
     if not gens:
         return 0
-    # (y1+y2)^s (x1-x2) once per piece; element (a, b, s) is x1^a x2^b times
-    # it, so its terms are the tail's with the x-exponents raised by (a, b)
-    tail = (Poly.y(M, 1) + Poly.y(M, 2)) ** (d // 2) * (Poly.x(M, 1) - Poly.x(M, 2))
+    # the terms of (y1+y2)^s (x1-x2), read off the binomials; element (a, b, s)
+    # is x1^a x2^b times it, so its terms are these with x raised by (a, b)
+    s = d // 2
+    tail = []
+    for i in range(s + 1):
+        c = comb(s, i)
+        tail += [((1, 0, i, s - i), c), ((0, 1, i, s - i), -c)]
     index = {e: i for i, e in enumerate(piece_monomials(n, d))}
     rows = [
-        {index[(a1 + a, a2 + b, b1, b2)]: c for (a1, a2, b1, b2), c in tail.coeffs.items()}
+        {index[(a1 + a, a2 + b, b1, b2)]: c for (a1, a2, b1, b2), c in tail}
         for a, b, _ in gens
     ]
     return rank(rows, len(index))

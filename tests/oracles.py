@@ -19,9 +19,10 @@ with the trapezoid count ``box_count``; ``component_poincare`` is one
 component's Poincare polynomial from the package's own point masses.
 ``truncated_product`` multiplies a series by a polynomial term by term, with
 no running sums, to check ``series.expand`` against its denominator.
-``pullback_matrix`` builds the matrix of both pullbacks on one component over
-the full target bases, for ``kernel_basis`` to eliminate, independently of
-the package's read-off of the kernel.
+``pullback_matrix`` builds the matrix of both pullbacks on one component from
+the images of the basis classes, over the full target bases, for
+``kernel_basis`` to eliminate, independently of the package's read-off of
+the kernel.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from nodehilb.exact import Poly, kernel_basis, monomial_key, rank, rref
-from nodehilb.geometry import CohClass, CohElem, coh_basis, pullback_x1, pullback_x2
+from nodehilb.geometry import CohElem, coh_basis, pullback_x1, pullback_x2
 from nodehilb.nodemodule import (
     M,
     GenerationCheck,
@@ -123,8 +124,8 @@ def span_solve(vectors: Sequence[Poly], target: Poly) -> list[Fraction] | None:
         key=monomial_key,
         reverse=True,
     )
-    columns = [[p.coefficient(e) for e in support] for p in vectors]
-    rhs = [target.coefficient(e) for e in support]
+    columns = [[p.coeffs.get(e, 0) for e in support] for p in vectors]
+    rhs = [target.coeffs.get(e, 0) for e in support]
     return solve_columns(columns, rhs)
 
 
@@ -301,10 +302,8 @@ def pullback_matrix(n: int, k: int) -> tuple[list[CohElem], list[dict]]:
     index = {key: r for r, key in enumerate(targets)}
     rows: list[dict] = [{} for _ in targets]
     for col, e in enumerate(source):
-        cls = CohClass(n, {e: 1})
         for tag, pb in (("x1", pullback_x1), ("x2", pullback_x2)):
-            for t, v in pb(cls).coeffs.items():
-                r = index.get((tag, t))
-                if r is not None:
-                    rows[r][col] = rows[r].get(col, 0) + v
+            r = index.get((tag, pb(e)))  # pb(e) is None for a class pulled back to 0
+            if r is not None:
+                rows[r][col] = 1
     return source, rows

@@ -223,6 +223,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_kernel_suite_at_its_scaled_bound(self, capsys, monkeypatch):
+        # RUN_SCALE=2 doubles the kernel bound to 30: levels 2..30 have
+        # sum(n + 1) = 493 components, and each one is checked
+        monkeypatch.setenv("RUN_SCALE", "2")
+        code, out, _ = run(capsys, "verify", "kernel", "--n-max", "30")
+        report = json.loads(out)["reports"][0]
+        assert code == 0 and report["status"] == "pass"
+        assert report["checked"] == 493 and report["failures"] == []
+
 
 class TestArgumentRejection:
     def test_negative_series_order(self, capsys):

@@ -244,7 +244,7 @@ def test_piece_data_matches_dense_oracle():
         for d in range(0, 2 * n + 1, 2):
             monos = tuple(piece_monomials(n, d))
             gens = [u_generator_poly(a, b, s) for a, b, s in u_generator_exponents(n, d)]
-            rows = [[Fraction(p.coefficient(e)) for e in monos] for p in gens]
+            rows = [[Fraction(p.coeffs.get(e, 0)) for e in monos] for p in gens]
             red, pivots = dense_rref(rows)
             assert [monos[i] for i in pivots] == [e for e in monos if _is_pivot(e)]
             pivot_set = set(pivots)

@@ -9,7 +9,6 @@ import pytest
 
 import nodehilb
 from nodehilb.exact import Poly, frac_str, monomial_bidegree, rref
-from nodehilb.geometry import CohClass, CohElem
 from nodehilb.weyl import WeylOp
 from oracles import RatMatrix, solve_columns, span_solve
 
@@ -84,10 +83,6 @@ class TestArithmetic:
             assert const == c and hash(const) == hash(c), c
             assert len({const, c}) == 1 and {c: "v"}[const] == "v", c
         assert hash(cls.zero(2)) == hash(0) and len({cls.zero(2), 0}) == 1
-
-    def test_classes_without_constants_still_hash(self):
-        e = CohElem(1, 0, "plain", 1, 0)
-        assert len({CohClass(1, {e: 2}), CohClass(1, {e: 2}), CohClass.zero(1), CohClass.zero(1)}) == 2
 
 
 class TestDerivative:
@@ -233,7 +228,6 @@ class TestRendering:
 class TestCoefficientTypes:
     def test_int_kept_and_inexact_input_made_fraction(self):
         key = ((1, 0), (0, 0), (0, 0), (0, 0))
-        e = CohElem(1, 0, "plain", 1, 0)
         x1 = (1, 0, 0, 0)
         for c, kind in ((3, int), (Fraction(1, 3), Fraction), (0.5, Fraction), ("2/3", Fraction)):
             stored = [
@@ -241,8 +235,6 @@ class TestCoefficientTypes:
                 (Poly.x(2, 1) * c).coeffs[x1],
                 WeylOp(2, {key: c}).coeffs[key],
                 (WeylOp(2, {key: 1}) * c).coeffs[key],
-                CohClass(1, {e: c}).coeffs[e],
-                (CohClass(1, {e: 1}) * c).coeffs[e],
             ]
             assert all(type(v) is kind and v == Fraction(c) for v in stored), (c, stored)
 
@@ -254,7 +246,7 @@ class TestCoefficientTypes:
             lambda: WeylOp(2, {((1, 0), (0, 0), (0, 0)): 1}),  # three exponent tuples
             lambda: WeylOp(2, {((1,), (0, 0), (0, 0), (0, 0)): 1}),
             lambda: WeylOp(2, {((0, 0), (0, 0), (0, -1), (0, 0)): 1}),
-            lambda: CohClass(2, {CohElem(1, 0, "plain", 1, 0): 1}),  # a class at level 1
+            lambda: WeylOp(0),  # no ambient components
         ],
     )
     def test_bad_key_rejected(self, build):
@@ -290,7 +282,8 @@ def class_members(package: Path) -> dict:
 def test_combination_arithmetic_is_written_once():
     classes = class_members(Path(nodehilb.__file__).parent)
     assert SHARED_ARITHMETIC <= classes["Combination"][1]
-    for name in ("Poly", "WeylOp", "CohClass"):
+    assert {name for name, (bases, _) in classes.items() if "Combination" in bases} == {"Poly", "WeylOp"}
+    for name in ("Poly", "WeylOp"):
         bases, names = classes[name]
         assert bases == {"Combination"}, name
         assert not names & SHARED_ARITHMETIC, (name, names & SHARED_ARITHMETIC)

@@ -99,18 +99,18 @@ def test_kernel_suite_catches_equal_pullbacks(capsys, monkeypatch):
     assert (6, 6) in located and (2, 2) in located
 
 
-def test_kernel_suite_catches_a_kernel_vector_rescaled_to_zero(capsys, monkeypatch):
-    # every kernel vector times 0: the class built from it drops its zero
-    # coefficients and is 0, so each component with a top zeta class fails
-    real = geometry._unhit_classes
-    monkeypatch.setattr(
-        geometry, "_unhit_classes", lambda n, source, hit: [0 * v for v in real(n, source, hit)]
-    )
+def test_kernel_suite_catches_zeta_classes_pulled_back_to_zero(capsys, monkeypatch):
+    # every zeta class restricts to 0, so on each middle component the whole
+    # zeta block below the top degree joins the kernel; at n = 2 the top
+    # zeta class is the only one, and the first failure is (3, 1)
+    real = geometry._moved
+    monkeypatch.setattr(geometry, "_moved", lambda e, new_k: None if e.kind == "zeta" else real(e, new_k))
     code, report = verify(capsys, "kernel", "--n-max", "6")
     assert code == 1 and report["status"] == "fail"
-    assert report["failures"][0] == {"n": 2, "k": 1, "got": ["0"]}
-    assert len(report["failures"]) == 15  # 1 <= k <= n-1 for n = 2..6
-    assert all(f["got"] == ["0"] for f in report["failures"])
+    assert report["failures"][0] == {"n": 3, "k": 1, "got": ["zeta", "zeta*a"]}
+    assert len(report["failures"]) == 14  # 1 <= k <= n-1 for n = 3..6
+    # the kernel is then the whole zeta block a^i b^j, i < n-k, j < k
+    assert all(len(f["got"]) == (f["n"] - f["k"]) * f["k"] for f in report["failures"])
 
 
 def test_kernel_suite_catches_two_classes_pulled_back_to_one(capsys, monkeypatch):
