@@ -41,10 +41,7 @@ Monomial = tuple  # flat exponent tuple of length 2m
 
 def frac_str(x) -> str:
     """Render an exact number as ``p`` or ``p/q`` (never a float)."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(x) if type(x) is int else str(Fraction(x))
 
 
 def monomial_key(exps: Monomial):

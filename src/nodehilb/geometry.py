@@ -96,17 +96,12 @@ def coh_basis(n: int, k: int) -> list[CohElem]:
     """Ordered additive basis of the cohomology of component (n, k)."""
     if not 0 <= k <= n:
         raise ValueError(f"component index {k} out of range for n={n}")
-    elems = [
-        CohElem(n, k, "plain", i, j)
-        for i in range(n - k + 1)
-        for j in range(k + 1)
-    ]
-    elems += [
-        CohElem(n, k, "zeta", i, j)
-        for i in range(max(n - k, 0))
-        for j in range(max(k, 0))
-    ]
-    elems.sort(key=lambda e: (e.degree, e.kind, e.i, e.j))
+    # every exponent is in range, so CohElem's own check is skipped; sorted
+    # by half the degree, then kind, i, j (fields 2, 3, 4)
+    make = _CohElemFields.__new__
+    elems = [make(CohElem, n, k, "plain", i, j) for i in range(n - k + 1) for j in range(k + 1)]
+    elems += [make(CohElem, n, k, "zeta", i, j) for i in range(n - k) for j in range(k)]
+    elems.sort(key=lambda e: (e[3] + e[4] + (e[2] == "zeta"), e[2], e[3], e[4]))
     return elems
 
 

@@ -29,10 +29,9 @@ checks are computed exactly.
 
 The operator matrices are read off the exponents: a generator sends a
 basis monomial x1^a1 x2^a2 y1^b1 y2^b2 to at most two monomials with
-integer factors a_i or b_i, each of which the rewrite above reduces, so a
-column is built in ``int`` without any polynomial arithmetic.
-``apply_generator`` acts instead through the generator's Weyl algebra
-element, an independent route to the same action.
+integer factors a_i or b_i; only images of x1 and d2 can need the rewrite
+above, so columns are built in ``int`` with no polynomial arithmetic.
+``apply_generator`` acts through the Weyl algebra, an independent route.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .exact import Poly, add_into, monomial_key, rank
+from .exact import Poly, add_into, rank
 from .weyl import Generator, generator_element, generators
 
 M = 2  # the node has two branches; everything in this module is at m = 2
@@ -63,15 +62,8 @@ def piece_monomials(n: int, d: int) -> list[tuple]:
     """Monomials of Q[x1,x2,y1,y2] in bidegree (n, d), largest first."""
     if n < 0 or d < 0 or d % 2 != 0 or d > 2 * n:
         return []
-    j = d // 2
-    monos = []
-    for b1 in range(j + 1):
-        b2 = j - b1
-        for a1 in range(n - j + 1):
-            a2 = n - j - a1
-            monos.append((a1, a2, b1, b2))
-    monos.sort(key=monomial_key, reverse=True)
-    return monos
+    j = d // 2  # all of degree n: largest first is a1, then b1, descending
+    return [(a1, n - j - a1, b1, j - b1) for a1 in range(n - j, -1, -1) for b1 in range(j, -1, -1)]
 
 
 def _is_pivot(e: tuple) -> bool:
@@ -217,23 +209,49 @@ def _piece_in_range(n: int, d: int) -> bool:
     return n >= 0 and 0 <= d <= 2 * n
 
 
-def _shifted(e: tuple, i: int, k: int) -> tuple:
-    return e[:i] + (e[i] + k,) + e[i + 1 :]
+def _reduced(f: tuple, row: dict) -> tuple:
+    """The column of a pivot image f, through its normal form."""
+    return tuple(sorted((row[h], c) for h, c in _normal_form(f)))
 
 
-def _image_terms(g: Generator, e: tuple) -> list:
-    """The image of the monomial e = (a1, a2, b1, b2) under g, as (monomial, int) terms.
+_x1, _x2, _d1, _d2, _mup, _mum = generators(M)
 
-    Read off the exponents: x_i raises a_i; d_i = d/dy_i lowers b_i with
-    factor b_i; mu+ = y1 + y2 raises b1 and b2; mu- = dx1 + dx2 lowers a1
-    and a2 with factors a1 and a2.  Terms whose factor is 0 are dropped.
+
+def _read_off(g: Generator, src: tuple, row: dict) -> tuple:
+    """The columns of g on the basis monomials ``src``, ``row`` giving each target row.
+
+    A basis monomial (a1, a2, b1, b2) has a1 = 0 or b2 >= 1, which x2, d1,
+    mu+ and mu- keep, so ``row`` takes their images as they are (a pivot
+    would raise KeyError).  Only x1 on (0, A, j, 0) and d2 where b2 = 1 and
+    a1 >= 1 meet a pivot, and just those go through ``_normal_form``.
     """
-    if g.kind == "x":
-        return [(_shifted(e, g.index - 1, 1), 1)]
-    if g.kind == "mu+":
-        return [(_shifted(e, 2, 1), 1), (_shifted(e, 3, 1), 1)]
-    slots = (g.index + 1,) if g.kind == "d" else (0, 1)
-    return [(_shifted(e, i, -1), e[i]) for i in slots if e[i]]
+    if g == _x1:
+        return tuple(
+            ((row[(a1 + 1, a2, b1, b2)], 1),) if b2 else _reduced((1, a2, b1, 0), row)
+            for a1, a2, b1, b2 in src
+        )
+    if g == _x2:
+        return tuple(((row[(a1, a2 + 1, b1, b2)], 1),) for a1, a2, b1, b2 in src)
+    if g == _d1:
+        return tuple(((row[(a1, a2, b1 - 1, b2)], b1),) if b1 else () for a1, a2, b1, b2 in src)
+    if g == _d2:
+        return tuple(
+            () if not b2
+            else _reduced((a1, a2, b1, 0), row) if b2 == 1 and a1
+            else ((row[(a1, a2, b1, b2 - 1)], b2),)
+            for a1, a2, b1, b2 in src
+        )
+    if g == _mup:
+        return tuple(
+            ((row[(a1, a2, b1 + 1, b2)], 1), (row[(a1, a2, b1, b2 + 1)], 1))
+            for a1, a2, b1, b2 in src
+        )
+    # mu-: the a2 term keeps the larger a1, so it takes the smaller row
+    return tuple(
+        (((row[(a1, a2 - 1, b1, b2)], a2),) if a2 else ())
+        + (((row[(a1 - 1, a2, b1, b2)], a1),) if a1 else ())
+        for a1, a2, b1, b2 in src
+    )
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +260,9 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
 
     Column j lists (row, coeff) pairs over the canonical basis of the target
     piece (n, d) + bidegree(g); an out-of-range target gives all-empty
-    columns.  Each column is read off the exponents of its basis monomial
-    (``_image_terms``) and reduced term by term with ``_normal_form``, all
-    in ``int``; ``apply_generator`` is the independent route through the
-    Weyl algebra.  Columns are sparse because a generator sends most basis
-    monomials to non-pivot monomials, where no reduction happens.
+    columns.  ``_read_off`` reads every column off the exponents of its basis
+    monomial in one pass, in ``int``; ``apply_generator`` is the independent
+    route through the Weyl algebra.
     """
     src = piece_data(n, d)
     dn, dd = g.bidegree
@@ -254,14 +270,7 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
     if not _piece_in_range(n2, d2):
         return tuple(() for _ in src)
     _check_index(g)
-    tgt_index = {e: i for i, e in enumerate(piece_data(n2, d2))}
-    cols = []
-    for e in src:
-        image: dict = {}
-        for f, c in _image_terms(g, e):
-            add_into(image, _normal_form(f), c)
-        cols.append(tuple(sorted((tgt_index[f], c) for f, c in image.items())))
-    return tuple(cols)
+    return _read_off(g, src, {e: i for i, e in enumerate(piece_data(n2, d2))})
 
 
 def commutator_columns(a: Generator, b: Generator, n: int, d: int) -> list[dict]:
@@ -284,8 +293,6 @@ class PieceCheck(NamedTuple):
     d: int
     ok: bool
 
-
-_x1, _x2, _d1, _d2, _mup, _mum = generators(M)
 
 # The defining relations of A as (name, a, b, whether [a, b] is the identity
 # rather than zero), in report order: [d_i, mu+] = [mu-, x_i] = 1, and every

@@ -6,6 +6,8 @@ no linear solve, since its membership test reads coefficients off.
 ``RatMatrix`` is the dense matrix the older tests were written against.
 ``u_preservation_checks`` acts by every generator on random rational
 elements of the node's submodule U and checks that the result reduces to 0.
+``sorted_piece_monomials`` lists the monomials of one piece by sorting them
+with ``monomial_key``, where ``piece_monomials`` counts them off in order.
 ``weyl_operator_columns`` builds a generator's sparse columns on one piece
 through ``apply_generator``, which acts by the generator's Weyl algebra
 element and reduces, independently of the package's exponent read-off;
@@ -45,6 +47,19 @@ from nodehilb.nodemodule import (
 )
 from nodehilb.series import Series2, _component_masses, _running_sums
 from nodehilb.weyl import Generator, generator_element, generators
+
+
+def sorted_piece_monomials(n: int, d: int) -> list[tuple]:
+    """Monomials of bidegree (n, d), largest first by an explicit graded-lex sort.
+
+    a1 + a2 = n - j and b1 + b2 = j with d = 2j; out of range, one of the two
+    sums is negative and nothing is listed.
+    """
+    if d % 2:
+        return []
+    j = d // 2
+    monos = [(a1, n - j - a1, b1, j - b1) for b1 in range(j + 1) for a1 in range(n - j + 1)]
+    return sorted(monos, key=monomial_key, reverse=True)
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,8 @@ class TestRendering:
     def test_frac_str(self):
         assert frac_str(Fraction(10)) == "10"
         assert frac_str(Fraction(-1, 2)) == "-1/2"
+        assert frac_str(-7) == "-7" and frac_str(0) == "0"
+        assert frac_str(True) == "1" and frac_str(False) == "0"
 
 
 class TestCoefficientTypes:

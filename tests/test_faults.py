@@ -189,21 +189,59 @@ def test_node_suite_catches_a_normal_form_without_its_sum(capsys, monkeypatch, f
 
 
 def test_node_suite_catches_a_miscounted_mu_minus_image(capsys, monkeypatch, fresh_caches):
-    # mu- = dx1 + dx2 read off with a2 + 1 instead of a2 on its x2 term
-    real = nodemodule._image_terms
+    # mu- = dx1 + dx2 read off with a2 + 1 instead of a2 on its x2 term, the
+    # first entry of each column whose basis monomial has a2 >= 1
+    real = nodemodule._read_off
 
-    def miscounted(g, e):
-        terms = real(g, e)
-        if g == Generator("mu-"):
-            return [(f, c + 1 if f[1] < e[1] else c) for f, c in terms]
-        return terms
+    def miscounted(g, src, row):
+        cols = real(g, src, row)
+        if g != Generator("mu-"):
+            return cols
+        return tuple(
+            ((col[0][0], col[0][1] + 1),) + col[1:] if e[1] else col for e, col in zip(src, cols)
+        )
 
-    monkeypatch.setattr(nodemodule, "_image_terms", miscounted)
+    monkeypatch.setattr(nodemodule, "_read_off", miscounted)
     code, report = verify(capsys, "node", "--n-max", "6")
     assert code == 1
     failures = failures_of(report, "relation-matrices")
     assert {"name": "[mu-,x1]=id", "n": 1, "d": 2} in failures
     assert all(0 <= f["n"] <= 6 and 0 <= f["d"] <= 2 * f["n"] for f in failures)
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (Generator("x", 1), "[x1,mu+]=0"),
+        (Generator("x", 2), "[x2,mu+]=0"),
+        (Generator("d", 1), "[d1,mu+]=id"),
+        (Generator("d", 2), "[d2,mu+]=id"),
+        (Generator("mu+"), "[mu+,mu-]=0"),
+        (Generator("mu-"), "[mu-,x1]=id"),
+    ],
+    ids=str,
+)
+def test_node_suite_catches_a_read_off_miscounted_on_one_piece(
+    capsys, monkeypatch, fresh_caches, g, expected
+):
+    # the first entry of the first nonzero column of g on the (2, 2) piece
+    # is one too large; only relations through g can see it
+    real = nodemodule._read_off
+
+    def miscounted(h, src, row):
+        cols = real(h, src, row)
+        if h != g or src != nodemodule.piece_data(2, 2):
+            return cols
+        k = next(k for k, col in enumerate(cols) if col)
+        (i, c), *rest = cols[k]
+        return cols[:k] + (((i, c + 1), *rest),) + cols[k + 1 :]
+
+    monkeypatch.setattr(nodemodule, "_read_off", miscounted)
+    code, report = verify(capsys, "node", "--n-max", "4")
+    assert code == 1 and only_failing_check(report) == "relation-matrices"
+    failures = failures_of(report, "relation-matrices")
+    assert {"name": expected, "n": 2, "d": 2} in failures
+    assert all(str(g) in f["name"] for f in failures)
 
 
 def only_failing_check(report):

@@ -8,6 +8,7 @@ import pytest
 from nodehilb.exact import kernel_basis, rank
 from nodehilb.geometry import (
     CohElem,
+    _elem_valid,
     coh_basis,
     component_count,
     kernel_intersection,
@@ -80,6 +81,24 @@ class TestCohBasis:
         for n in range(13):
             for k in range(n + 1):
                 assert poincare_from_basis(n, k) == component_poincare(n, k)
+
+    def test_unvalidated_build_equals_the_validated_one(self):
+        # coh_basis skips CohElem's range check and sorts by its fields: each
+        # class must still be in range, and the list must be the one built
+        # through CohElem and sorted by degree
+        for n in range(21):
+            for k in range(n + 1):
+                basis = coh_basis(n, k)
+                assert all(type(e) is CohElem and _elem_valid(*e) for e in basis), (n, k)
+                validated = [
+                    CohElem(n, k, kind, i, j)
+                    for kind in ("plain", "zeta")
+                    for i in range(n + 1)
+                    for j in range(n + 1)
+                    if _elem_valid(n, k, kind, i, j)
+                ]
+                validated.sort(key=lambda e: (e.degree, e.kind, e.i, e.j))
+                assert basis == validated, (n, k)
 
     def test_invalid_elements_rejected(self):
         with pytest.raises(ValueError):

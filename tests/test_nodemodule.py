@@ -35,6 +35,7 @@ from nodehilb.weyl import Generator, generators
 from oracles import (
     poly_dim_submodule,
     poly_generation_checks,
+    sorted_piece_monomials,
     span_solve,
     u_generator_poly,
     u_preservation_checks,
@@ -115,6 +116,13 @@ def _random_piece_element(rng, n, d):
         if rng.random() < 0.4:
             coeffs[e] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 3))
     return Poly(2, coeffs)
+
+
+def test_piece_monomials_equal_a_sorted_enumeration():
+    # read off in order, against listing and sorting by monomial_key
+    for n in range(-2, 41):
+        for d in range(-3, 2 * n + 4):
+            assert piece_monomials(n, d) == sorted_piece_monomials(n, d), (n, d)
 
 
 class TestDimensions:
@@ -353,10 +361,45 @@ class TestOperatorIdentities:
                 for d in range(0, 2 * n + 1, 2):
                     assert operator_columns(g, n, d) == weyl_operator_columns(g, n, d), (g, n, d)
 
+    def test_only_x1_and_d2_meet_a_pivot(self):
+        # the read-off indexes the images of x2, d1, mu+ and mu- straight into
+        # the target basis, and reduce only x1 on (0, n - j, j, 0) and d2
+        # where b2 = 1 and a1 >= 1; the images, from the definitions: x_i
+        # raises a_i, d_i lowers b_i, mu+ raises b1 or b2, mu- lowers a1 or a2
+        def raised(e, i, k):
+            return e[:i] + (e[i] + k,) + e[i + 1 :]
+
+        def images(e):
+            return {
+                "x1": [raised(e, 0, 1)],
+                "x2": [raised(e, 1, 1)],
+                "d1": [raised(e, 2, -1)] if e[2] else [],
+                "d2": [raised(e, 3, -1)] if e[3] else [],
+                "mu+": [raised(e, 2, 1), raised(e, 3, 1)],
+                "mu-": [raised(e, i, -1) for i in (0, 1) if e[i]],
+            }
+
+        met = {g: set() for g in ("x1", "x2", "d1", "d2", "mu+", "mu-")}
+        for n in range(31):
+            for j in range(n + 1):
+                for e in piece_data(n, 2 * j):
+                    for g, fs in images(e).items():
+                        if any(nodemodule._is_pivot(f) for f in fs):
+                            met[g].add(e)
+        assert not met["x2"] and not met["d1"] and not met["mu+"] and not met["mu-"]
+        assert met["x1"] == {(0, n - j, j, 0) for n in range(31) for j in range(n + 1)}
+        assert met["d2"] == {
+            (a1, a2, b1, b2)
+            for n in range(31)
+            for j in range(n + 1)
+            for a1, a2, b1, b2 in piece_data(n, 2 * j)
+            if b2 == 1 and a1 >= 1
+        }
+
     def test_operator_columns_do_not_act_through_the_weyl_algebra(self):
         # two routes that share the action would not check each other
         banned = {"generator_element", "WeylOp", "act", "reduce_poly", "Poly"}
-        for func in (nodemodule.operator_columns, nodemodule._image_terms, nodemodule._shifted):
+        for func in (nodemodule.operator_columns, nodemodule._read_off, nodemodule._reduced):
             tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
             names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
