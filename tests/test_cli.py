@@ -232,6 +232,17 @@ class TestVerify:
         assert code == 0 and report["status"] == "pass"
         assert report["checked"] == 493 and report["failures"] == []
 
+    def test_node_suite_at_its_scaled_bound(self, capsys, monkeypatch):
+        # RUN_SCALE=2 doubles the node bound to 30; at 20 the pieces n <= 20
+        # number 21 * 22 / 2 = 231, and each carries the 21 relations
+        monkeypatch.setenv("RUN_SCALE", "2")
+        code, out, _ = run(capsys, "verify", "node", "--n-max", "20")
+        report = json.loads(out)["reports"][0]
+        assert code == 0 and report["status"] == "pass"
+        (relations,) = [c for c in report["checks"] if c["check"] == "relation-matrices"]
+        assert relations["status"] == "pass"
+        assert relations["checked"] == 4851 and relations["failures"] == []
+
 
 class TestArgumentRejection:
     def test_negative_series_order(self, capsys):

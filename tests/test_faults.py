@@ -209,23 +209,11 @@ def test_node_suite_catches_a_miscounted_mu_minus_image(capsys, monkeypatch, fre
     assert all(0 <= f["n"] <= 6 and 0 <= f["d"] <= 2 * f["n"] for f in failures)
 
 
-@pytest.mark.parametrize(
-    "g, expected",
-    [
-        (Generator("x", 1), "[x1,mu+]=0"),
-        (Generator("x", 2), "[x2,mu+]=0"),
-        (Generator("d", 1), "[d1,mu+]=id"),
-        (Generator("d", 2), "[d2,mu+]=id"),
-        (Generator("mu+"), "[mu+,mu-]=0"),
-        (Generator("mu-"), "[mu-,x1]=id"),
-    ],
-    ids=str,
-)
-def test_node_suite_catches_a_read_off_miscounted_on_one_piece(
-    capsys, monkeypatch, fresh_caches, g, expected
-):
-    # the first entry of the first nonzero column of g on the (2, 2) piece
-    # is one too large; only relations through g can see it
+def miscount_read_off_on_one_piece(monkeypatch, g, entry=lambda c: c + 1):
+    """Change the first entry of the first nonzero column of g on the (2, 2) piece.
+
+    By default it becomes one too large.
+    """
     real = nodemodule._read_off
 
     def miscounted(h, src, row):
@@ -234,14 +222,66 @@ def test_node_suite_catches_a_read_off_miscounted_on_one_piece(
             return cols
         k = next(k for k, col in enumerate(cols) if col)
         (i, c), *rest = cols[k]
-        return cols[:k] + (((i, c + 1), *rest),) + cols[k + 1 :]
+        return cols[:k] + (((i, entry(c)), *rest),) + cols[k + 1 :]
 
     monkeypatch.setattr(nodemodule, "_read_off", miscounted)
+
+
+MISCOUNTED = [
+    (Generator("x", 1), "[x1,mu+]=0"),
+    (Generator("x", 2), "[x2,mu+]=0"),
+    (Generator("d", 1), "[d1,mu+]=id"),
+    (Generator("d", 2), "[d2,mu+]=id"),
+    (Generator("mu+"), "[mu+,mu-]=0"),
+    (Generator("mu-"), "[mu-,x1]=id"),
+]
+
+
+@pytest.mark.parametrize("g, expected", MISCOUNTED, ids=str)
+def test_node_suite_catches_a_read_off_miscounted_on_one_piece(
+    capsys, monkeypatch, fresh_caches, g, expected
+):
+    # only relations through the miscounted generator can see the fault
+    miscount_read_off_on_one_piece(monkeypatch, g)
     code, report = verify(capsys, "node", "--n-max", "4")
     assert code == 1 and only_failing_check(report) == "relation-matrices"
     failures = failures_of(report, "relation-matrices")
     assert {"name": expected, "n": 2, "d": 2} in failures
     assert all(str(g) in f["name"] for f in failures)
+
+
+def test_node_suite_reports_a_zeroed_entry_instead_of_crashing(capsys, monkeypatch, fresh_caches):
+    # a stored zero makes a zero product in the commutator, which must fall
+    # through as a failure like any other wrong entry
+    miscount_read_off_on_one_piece(monkeypatch, Generator("x", 1), entry=lambda c: 0)
+    code, report = verify(capsys, "node", "--n-max", "4")
+    assert code == 1
+    assert {"name": "[x1,mu+]=0", "n": 2, "d": 2} in failures_of(report, "relation-matrices")
+
+
+@pytest.mark.parametrize("g", [None] + [g for g, _ in MISCOUNTED], ids=str)
+def test_settled_relation_entries_equal_their_commutators(monkeypatch, fresh_caches, g):
+    # [a, a] = 0 and the reversed [b, a] = 0 are settled without a commutator
+    # of their own; on the clean model and under each miscount, every such
+    # verdict must be what computing that very commutator would give
+    if g is not None:
+        miscount_read_off_on_one_piece(monkeypatch, g)
+    relations = {name: (a, b) for name, a, b, ident in nodemodule.RELATIONS if not ident}
+    pairs = list(relations.values())
+    settled = [
+        name for k, (name, (a, b)) in enumerate(relations.items()) if a == b or (b, a) in pairs[:k]
+    ]
+    assert len(settled) == 6
+    verdicts = []
+    for check in nodemodule.relation_matrix_checks(4):
+        if check.name in settled:
+            a, b = relations[check.name]
+            cols = nodemodule.commutator_columns(a, b, check.n, check.d)
+            assert check.ok == (not any(cols)), check
+            verdicts.append(check.ok)
+    assert len(verdicts) == 6 * 15
+    # a miscount of x_i or d_i must fail a reversed pair, so not all pass
+    assert all(verdicts) == (g is None or g.kind.startswith("mu"))
 
 
 def only_failing_check(report):

@@ -333,6 +333,20 @@ class TestOperatorIdentities:
         for n in range(6):
             assert len(relation_matrix_checks(n)) == 21 * (n + 1) * (n + 2) // 2
 
+    def test_one_commutator_per_unordered_pair_and_piece(self, monkeypatch):
+        # [a, a] = 0 and the reversed [b, a] = 0 take their verdicts without a
+        # commutator of their own: 15 calls per piece settle the 21 entries
+        calls = []
+        real = nodemodule.commutator_columns
+        monkeypatch.setattr(
+            nodemodule, "commutator_columns", lambda *args: calls.append(args) or real(*args)
+        )
+        for n in range(6):
+            calls.clear()
+            relation_matrix_checks(n)
+            assert len(calls) == 15 * (n + 1) * (n + 2) // 2
+            assert len({(frozenset(call[:2]), call[2:]) for call in calls}) == len(calls)
+
     def test_injectivity_to_six(self):
         checks = injectivity_checks(6)
         assert all(c.ok for c in checks)
