@@ -9,8 +9,8 @@ Polynomials and Weyl operators (``weyl.WeylOp``) are both sparse exact
 linear combinations, and share one class, :class:`Combination`: its
 constructor checks every key and drops zero coefficients, and it holds the
 sums, scalar and ring products, powers, equality and hashing once.  Each
-subclass adds only its key check, its unit and the product of two keys.
-:func:`add_into` accumulates sparse coefficient dicts; one hot loop inlines it.
+subclass adds only its key check, its unit and the product of two keys.  A
+sparse coefficient dict is accumulated in one place, :func:`add_into`.
 
 Polynomials live in Q[x1..xm, y1..ym].  A monomial is a flat exponent tuple
 of length ``2m`` (x-exponents first, then y-exponents), and carries the
@@ -68,9 +68,9 @@ def add_into(acc: dict, items: Iterable, scale=1) -> dict:
     """Add ``scale * c`` to ``acc[key]`` for each ``(key, c)``; returns ``acc``.
 
     The one accumulation loop of the sparse coefficient dicts of ``exact``,
-    ``weyl`` and ``nodemodule`` (``series`` keeps its own, as an independent
-    route; ``commutator_columns`` inlines it).  Entries that cancel to zero
-    are dropped, so a dict built only through it never stores a zero.
+    ``weyl`` and ``nodemodule`` (``series`` keeps its own, as an
+    independent route).  Entries that cancel to zero are dropped, so a
+    dict built only through it never stores a zero.
     """
     for key, c in items:
         v = acc.get(key, 0) + scale * c
@@ -381,18 +381,14 @@ def _reduce(pivots: dict[int, dict]) -> list[tuple[int, dict]]:
     return sorted(done.items())
 
 
-def _is_int_row(row: dict) -> bool:
-    """Whether every entry of a sparse row is a nonzero ``int`` (``bool`` is not)."""
-    return all(type(v) is int and v for v in row.values())
-
-
 def _normalise(mat, ncols: int | None) -> tuple[Sequence[dict], int | None, bool]:
     """Integer rows, column count and whether the input was dense.
 
-    A sparse row of nonzero ``int`` entries is used as it is, without a copy
-    or a gcd pass: ``_echelon`` never mutates a row, and neither the rank nor
-    the read-out, which divides by the pivots, needs a primitive row.  One
-    pass tells when every row is of that kind; only else is each row tested.
+    A sparse matrix whose entries are all nonzero ``int``s (``bool`` is not)
+    is used as it is, without a copy or a gcd pass: ``_echelon`` never
+    mutates a row, and neither the rank nor the read-out, which divides by
+    the pivots, needs a primitive row.  Any other matrix has every row
+    converted.
     """
     if not mat:
         return [], ncols or 0, True
@@ -402,7 +398,7 @@ def _normalise(mat, ncols: int | None) -> tuple[Sequence[dict], int | None, bool
         return [_int_row(enumerate(r)) for r in mat], ncols, True
     if all(type(v) is int and v for r in mat for v in r.values()):
         return mat, ncols, False
-    return [r if _is_int_row(r) else _int_row(r.items()) for r in mat], ncols, False
+    return [_int_row(r.items()) for r in mat], ncols, False
 
 
 def rref(mat) -> tuple[list, list[int]]:

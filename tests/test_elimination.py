@@ -177,10 +177,8 @@ def int_sparse(rows) -> list[dict]:
 def test_int_rows_skip_the_conversion_and_match_dense_oracle(monkeypatch):
     # sparse rows of nonzero ints reach the elimination as they are, often
     # not primitive; the read-out divides by the pivots, so the reduced form
-    # and kernel are still the unique ones, and the rows come back unchanged;
-    # one pass over the matrix finds them, so no row is tested on its own
+    # and kernel are still the unique ones, and the rows come back unchanged
     monkeypatch.setattr(exact, "_int_row", lambda items: pytest.fail("row converted"))
-    monkeypatch.setattr(exact, "_is_int_row", lambda row: pytest.fail("row tested"))
     integral = [m for m in MATRICES if all(v.denominator == 1 for row in m for v in row)]
     assert len(integral) >= 300
     for rows in integral:
@@ -199,12 +197,9 @@ def test_int_rows_skip_the_conversion_and_match_dense_oracle(monkeypatch):
     [{0: Fraction(1, 2), 2: Fraction(3)}, {0: True, 1: True}, {1: 0, 2: 3}],
     ids=["fraction", "bool", "explicit-zero"],
 )
-def test_one_odd_row_among_int_rows_is_the_only_one_converted(monkeypatch, odd):
-    # the one-pass check fails, so each row is tested as before and only the
-    # odd row goes through _int_row; the rank is still the dense oracle's
-    converted = []
-    real = exact._int_row
-    monkeypatch.setattr(exact, "_int_row", lambda items: converted.append(1) or real(items))
+def test_one_odd_row_among_int_rows_keeps_the_dense_oracle(odd):
+    # one entry that is not a nonzero int sends every row through _int_row;
+    # the rank and the reduced form are still the dense oracle's
     rng = random.Random(20261019)
     integral = [m for m in MATRICES if m and all(v.denominator == 1 for row in m for v in row)]
     for rows in integral:
@@ -214,9 +209,9 @@ def test_one_odd_row_among_int_rows_is_the_only_one_converted(monkeypatch, odd):
         mat = int_sparse(rows)
         mat.insert(at, odd)
         dense = rows[:at] + [[Fraction(odd.get(c, 0)) for c in range(ncols)]] + rows[at:]
-        converted.clear()
-        assert rank(mat, ncols) == len(dense_rref(dense)[1]) == rank(mat)
-        assert len(converted) == 2
+        want_rows, want_pivots = dense_rref(dense)
+        assert rank(mat, ncols) == len(want_pivots) == rank(mat)
+        assert rref(mat) == (sparse(want_rows), want_pivots)
 
 
 @pytest.mark.parametrize(
