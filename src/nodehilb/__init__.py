@@ -35,7 +35,7 @@ from .nodemodule import (
     fundamental_class,
     reduce_poly,
 )
-from .series import Series2, closed_form_pv, mv_pv, paving_pv, series_equal
+from .series import closed_form_pv, mv_pv, paving_pv, series_equal
 from .weyl import Generator, WeylOp, commutator, generator_element, subalgebra_membership, verify_relations
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "dim_piece",
     "fundamental_class",
     "reduce_poly",
-    "Series2",
     "closed_form_pv",
     "mv_pv",
     "paving_pv",

@@ -89,14 +89,14 @@ def run_betti(args) -> int:
     rows = [[table[n][j] for j in range(n + 1)] for n in range(n_max + 1)]
     closed = series.closed_form_pv(n_max)
     mismatch = next(
-        ((n, j) for n in range(n_max + 1) for j in range(n + 1) if rows[n][j] != closed.c[n][j]),
+        ((n, j) for n in range(n_max + 1) for j in range(n + 1) if rows[n][j] != closed[n][j]),
         None,
     )
     ok = mismatch is None
     if not ok:
         n, j = mismatch
         print(
-            f"error: betti n={n} j={j}: enumerated {rows[n][j]}, closed form {closed.c[n][j]}",
+            f"error: betti n={n} j={j}: enumerated {rows[n][j]}, closed form {closed[n][j]}",
             file=sys.stderr,
         )
     _emit_rows(
@@ -126,7 +126,7 @@ def run_series(args) -> int:
         return 2
     s = makers[which](order)
     _emit_rows(
-        [[frac_str(v) for v in s.row(n)] for n in range(order + 1)], args.format, {"order": order}
+        [[frac_str(v) for v in s[n][: n + 1]] for n in range(order + 1)], args.format, {"order": order}
     )
     return 0
 
@@ -239,7 +239,7 @@ def verify_node_report(n_max: int) -> dict:
         for n in range(n_max + 1)
     ]
     closed = series.closed_form_pv(n_max)
-    dims_ok = all(row["coeffs"] == closed.row(row["n"]) for row in dims)
+    dims_ok = all(row["coeffs"] == closed[row["n"]][: row["n"] + 1] for row in dims)
     rel = _tally(nodemodule.relation_matrix_checks(n_max))
     gen = _tally(nodemodule.generation_checks(n_max))
     inj = _tally(nodemodule.injectivity_checks(n_max))

@@ -264,12 +264,12 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
     monomial in one pass, in ``int``; ``apply_generator`` is the independent
     route through the Weyl algebra.
     """
+    _check_index(g)
     src = piece_data(n, d)
     dn, dd = g.bidegree
     n2, d2 = n + dn, d + dd
     if not _piece_in_range(n2, d2):
         return tuple(() for _ in src)
-    _check_index(g)
     return _read_off(g, src, {e: i for i, e in enumerate(piece_data(n2, d2))})
 
 
@@ -363,42 +363,25 @@ class GenerationCheck(NamedTuple):
         return self.rank == self.dim
 
 
-def _integral(c) -> int:
-    """An exact number that must be an integer, as ``int``; never truncated."""
-    if c.denominator != 1:
-        raise ValueError(f"{c} is not an integer")
-    return c.numerator
-
-
 def generation_checks(n_max: int) -> list[GenerationCheck]:
     """x1,x2-translates of the fundamental classes span each row piece.
 
     For every n <= K <= n_max, the classes of
     x1^a x2^b y1^k y2^(n-k)/k!(n-k)! with a+b = K-n span the whole (K, 2n)
-    piece; the check compares an exact rank with the piece dimension.  Each
-    class is scaled by k!(n-k)!, which leaves the span alone, so every row
-    is built in ``int``; a row reduces the terms of a class with x1, x2
-    raised by a, b directly.
+    piece; the check compares an exact rank with the piece dimension.
+    Scaling a class by k!(n-k)! leaves the span alone and leaves the bare
+    monomial, so the row of each translate is the normal form of
+    (a, K-n-a, k, n-k), read off the exponents in ``int``.
     """
     checks = []
     for n in range(n_max + 1):
-        fcs = [
-            [
-                (e, _integral(c * factorial(k) * factorial(n - k)))
-                for e, c in fundamental_class(n, k).rep.coeffs.items()
-            ]
-            for k in range(n + 1)
-        ]
         for K in range(n, n_max + 1):
             index = {e: i for i, e in enumerate(piece_data(K, 2 * n))}
-            rows = []
-            for a in range(K - n + 1):
-                b = K - n - a
-                for fc in fcs:
-                    row: dict = {}
-                    for (a1, a2, b1, b2), c in fc:
-                        add_into(row, _normal_form((a1 + a, a2 + b, b1, b2)), c)
-                    rows.append({index[e]: c for e, c in row.items()})
+            rows = [
+                {index[e]: c for e, c in _normal_form((a, K - n - a, k, n - k))}
+                for a in range(K - n + 1)
+                for k in range(n + 1)
+            ]
             checks.append(GenerationCheck(K, n, rank(rows, len(index)), len(index)))
     return checks
 

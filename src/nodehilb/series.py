@@ -1,8 +1,9 @@
 """Truncated bivariate Poincare series in q (points) and t (homological degree).
 
-Only even homological degrees occur, so a series is stored as a square
-array c[n][j] = coefficient of q^n t^(2j); odd-degree slots do not exist
-rather than being zeros.  Every coefficient on every route below is a
+Only even homological degrees occur, so a series truncated at ``order`` is
+its square int array, a list of order+1 rows with s[n][j] = coefficient of
+q^n t^(2j) for 0 <= n, j <= order; odd-degree slots do not exist rather
+than being zeros.  Every coefficient on every route below is a
 Python int: each denominator built here is a product of the two linear
 factors 1-q and 1-q t^2, and ``expand`` divides by each of them with one
 running sum over the int array.  Truncation is exact.
@@ -37,78 +38,46 @@ from . import nodemodule
 from .exact import frac_str
 
 Poly2 = dict  # exact bivariate polynomial: (i, j) -> coefficient of q^i t^(2j)
+Series = list[list[int]]  # truncated at order: order+1 rows of order+1 coefficients
 
 
-class Series2:
-    """Truncated series sum c[n][j] q^n t^(2j), 0 <= n, j <= order."""
-
-    __slots__ = ("order", "c")
-
-    def __init__(self, order: int, c: list[list] | None = None):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        self.order = order
-        size = order + 1
-        if c is None:
-            self.c = [[0] * size for _ in range(size)]
-        else:
-            if len(c) != size or any(len(row) != size for row in c):
-                raise ValueError("coefficient array has the wrong shape")
-            self.c = [list(row) for row in c]
-
-    def row(self, n: int) -> list:
-        """Coefficients of q^n for j = 0..n (degrees beyond 2n are zero here)."""
-        return [self.c[n][j] for j in range(n + 1)]
-
-    def _check_order(self, other: "Series2"):
-        if self.order != other.order:
-            raise ValueError(f"mismatched truncation orders {self.order} vs {other.order}")
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        self._check_order(other)
-        return Series2(
-            self.order,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.c, other.c)],
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Series2)
-            and self.order == other.order
-            and self.c == other.c
-        )
-
-    def __repr__(self):
-        head = "; ".join(
-            " ".join(frac_str(v) for v in self.row(n)) for n in range(min(4, self.order) + 1)
-        )
-        return f"Series2(order={self.order}, rows {head} ...)"
+def _zeros(order: int) -> Series:
+    """The zero series to ``order``: an (order+1) x (order+1) int array."""
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    return [[0] * (order + 1) for _ in range(order + 1)]
 
 
-def series_equal(a: Series2, b: Series2) -> tuple[bool, tuple[int, int] | None]:
+def _difference(a: Series, b: Series) -> Series:
+    """a - b, coefficient by coefficient."""
+    return [[u - v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def series_equal(a: Series, b: Series) -> tuple[bool, tuple[int, int] | None]:
     """Exact comparison; on failure also return the smallest differing (n, j)."""
-    a._check_order(b)
-    for n in range(a.order + 1):
-        for j in range(a.order + 1):
-            if a.c[n][j] != b.c[n][j]:
+    if len(a) != len(b):
+        raise ValueError(f"mismatched truncation orders {len(a) - 1} vs {len(b) - 1}")
+    for n, (ra, rb) in enumerate(zip(a, b)):
+        for j, (u, v) in enumerate(zip(ra, rb)):
+            if u != v:
                 return False, (n, j)
     return True, None
 
 
-def expand(num: Poly2, order: int, q_factors: int, qt2_factors: int) -> Series2:
+def expand(num: Poly2, order: int, q_factors: int, qt2_factors: int) -> Series:
     """num / ((1-q)^q_factors (1-q t^2)^qt2_factors), truncated at ``order``.
 
     The numerator's terms inside the box are placed in the array, then each
     factor is divided out by one running sum over the rows, in place: along
-    n for 1-q (c[n][j] += c[n-1][j]) and along the diagonal for 1-q t^2
-    (c[n][j] += c[n-1][j-1]).  Neither sum reads outside the box, so the
+    n for 1-q (s[n][j] += s[n-1][j]) and along the diagonal for 1-q t^2
+    (s[n][j] += s[n-1][j-1]).  Neither sum reads outside the box, so the
     truncation is exact, and an int numerator gives int coefficients.
     """
-    out = Series2(order)
+    out = _zeros(order)
     for (i, j), v in num.items():
         if i <= order and j <= order:
-            out.c[i][j] += v
-    pairs = list(zip(out.c, out.c[1:]))
+            out[i][j] += v
+    pairs = list(zip(out, out[1:]))
     for _ in range(q_factors):
         for prev, row in pairs:
             row[:] = map(add, row, prev)
@@ -123,7 +92,7 @@ def closed_form() -> tuple[Poly2, int, int]:
     return {(2, 1): 1, (1, 0): -1, (0, 0): 1}, 2, 2
 
 
-def closed_form_pv(order: int) -> Series2:
+def closed_form_pv(order: int) -> Series:
     num, q_factors, qt2_factors = closed_form()
     return expand(num, order, q_factors, qt2_factors)
 
@@ -162,16 +131,16 @@ def intersection_poincare(n: int, k: int) -> list[int]:
     return _running_sums(_add_box([0] * n, k + 1, n - k))
 
 
-def mv_pv(order: int) -> Series2:
+def mv_pv(order: int) -> Series:
     """Series assembled row by row from components minus intersections."""
-    out = Series2(order)
+    out = _zeros(order)
     for n in range(order + 1):
         acc = [0] * (n + 1)
         for k in range(n + 1):
             _component_masses(acc, n, k)
         for k in range(n):
             _add_box(acc, k + 1, n - k, sign=-1)
-        out.c[n][: n + 1] = _running_sums(acc)
+        out[n][: n + 1] = _running_sums(acc)
     return out
 
 
@@ -192,7 +161,7 @@ def punctual_row(c: int) -> list[int]:
     return [1, c - 1]
 
 
-def paving_pv(order: int) -> Series2:
+def paving_pv(order: int) -> Series:
     """The punctual factor divided by (1-q t^2)^2, one factor per branch."""
     punctual = {(n, j): v for n in range(order + 1) for j, v in enumerate(punctual_row(n))}
     return expand(punctual, order, 0, 2)
@@ -201,12 +170,12 @@ def paving_pv(order: int) -> Series2:
 # -- route four: the module presentation --------------------------------------
 
 
-def ambient_module_pv(order: int) -> Series2:
+def ambient_module_pv(order: int) -> Series:
     """Series of Q[x1,x2,y1,y2]: 1 / ((1-q)^2 (1-q t^2)^2)."""
     return expand({(0, 0): 1}, order, 2, 2)
 
 
-def submodule_pv(order: int) -> Series2:
+def submodule_pv(order: int) -> Series:
     """Series of Q[x1,x2,y1+y2]*(x1-x2): q / ((1-q)^2 (1-q t^2)).
 
     Free on one generator of bidegree (1, 0) over a polynomial ring with two
@@ -215,33 +184,36 @@ def submodule_pv(order: int) -> Series2:
     return expand({(1, 0): 1}, order, 2, 1)
 
 
-def module_pv(order: int) -> Series2:
-    return ambient_module_pv(order) - submodule_pv(order)
+def module_pv(order: int) -> Series:
+    return _difference(ambient_module_pv(order), submodule_pv(order))
 
 
-def module_pv_identity(order: int, enumeration_bound: int = 15) -> tuple[Series2, int, list]:
+ENUMERATION_BOUND = 15  # the largest n at which the series are compared with counting
+
+
+def module_pv_identity(order: int) -> tuple[Series, int, list]:
     """The quotient series and its cross-check against the coset model.
 
     Returns ambient minus submodule series to ``order``, which the caller
     compares with the closed form; the enumeration bound ``min(order,
-    enumeration_bound)``; and the mismatches up to that bound between the
+    ENUMERATION_BOUND)``; and the mismatches up to that bound between the
     ambient, submodule and quotient series and direct monomial / generator
     counting, each as ``[kind, n, j, series coefficient, count]``.
     """
     ambient = ambient_module_pv(order)
     sub = submodule_pv(order)
-    diff = ambient - sub
-    bound = min(order, enumeration_bound)
+    diff = _difference(ambient, sub)
+    bound = min(order, ENUMERATION_BOUND)
     mismatches = []
     for n in range(bound + 1):
         for j in range(n + 1):
             amb_count = nodemodule.dim_ambient(n, 2 * j)
             sub_count = nodemodule.dim_submodule(n, 2 * j)
             quo_count = nodemodule.dim_piece(n, 2 * j)
-            if ambient.c[n][j] != amb_count:
-                mismatches.append(["ambient", n, j, frac_str(ambient.c[n][j]), amb_count])
-            if sub.c[n][j] != sub_count:
-                mismatches.append(["submodule", n, j, frac_str(sub.c[n][j]), sub_count])
-            if diff.c[n][j] != quo_count:
-                mismatches.append(["quotient", n, j, frac_str(diff.c[n][j]), quo_count])
+            if ambient[n][j] != amb_count:
+                mismatches.append(["ambient", n, j, frac_str(ambient[n][j]), amb_count])
+            if sub[n][j] != sub_count:
+                mismatches.append(["submodule", n, j, frac_str(sub[n][j]), sub_count])
+            if diff[n][j] != quo_count:
+                mismatches.append(["quotient", n, j, frac_str(diff[n][j]), quo_count])
     return diff, bound, mismatches

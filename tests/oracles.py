@@ -45,7 +45,7 @@ from nodehilb.nodemodule import (
     reduce_poly,
     u_generator_exponents,
 )
-from nodehilb.series import Series2, _component_masses, _running_sums
+from nodehilb.series import _component_masses, _running_sums
 from nodehilb.weyl import Generator, generator_element, generators
 
 
@@ -277,11 +277,10 @@ def component_poincare(n: int, k: int) -> list[int]:
     return _running_sums(_component_masses([0] * (n + 1), n, k))
 
 
-def box_count_mv_pv(order: int) -> Series2:
+def box_count_mv_pv(order: int) -> list[list[int]]:
     """``series.mv_pv`` summed one coefficient at a time by ``box_count``."""
-    out = Series2(order)
-    for n in range(order + 1):
-        row = out.c[n]
+    out = [[0] * (order + 1) for _ in range(order + 1)]
+    for n, row in enumerate(out):
         for j in range(n + 1):
             row[j] = (
                 sum(box_count(n - k + 1, k + 1, j) + box_count(k, n - k, j - 1) for k in range(n + 1))
@@ -290,14 +289,15 @@ def box_count_mv_pv(order: int) -> Series2:
     return out
 
 
-def truncated_product(s: Series2, poly: dict) -> Series2:
-    """``s`` times the polynomial ``{(i, j): c}`` (c q^i t^(2j)), truncated at ``s.order``."""
-    out = Series2(s.order)
-    for n, row in enumerate(s.c):
+def truncated_product(s: list[list[int]], poly: dict) -> list[list[int]]:
+    """``s`` times the polynomial ``{(i, j): c}`` (c q^i t^(2j)), truncated at its order."""
+    order = len(s) - 1
+    out = [[0] * (order + 1) for _ in range(order + 1)]
+    for n, row in enumerate(s):
         for j, u in enumerate(row):
             for (a, b), v in poly.items():
-                if n + a <= s.order and j + b <= s.order:
-                    out.c[n + a][j + b] += u * v
+                if n + a <= order and j + b <= order:
+                    out[n + a][j + b] += u * v
     return out
 
 

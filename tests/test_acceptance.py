@@ -56,9 +56,9 @@ def test_03_module_series_identity():
     for n in range(16):
         for j in range(n + 1):
             d = 2 * j
-            assert ambient.c[n][j] == nodemodule.dim_ambient(n, d)
-            assert sub.c[n][j] == nodemodule.dim_submodule(n, d)
-            assert diff.c[n][j] == nodemodule.dim_piece(n, d)
+            assert ambient[n][j] == nodemodule.dim_ambient(n, d)
+            assert sub[n][j] == nodemodule.dim_submodule(n, d)
+            assert diff[n][j] == nodemodule.dim_piece(n, d)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(3, "ambient minus submodule series, enumerated to n=15")

@@ -278,4 +278,4 @@ class TestPaving:
     def test_census_matches_series_route(self):
         s = paving_pv(15)
         for n in range(16):
-            assert paving_census(n) == s.row(n)
+            assert paving_census(n) == s[n][: n + 1]

@@ -79,3 +79,15 @@ def test_tracer_runs_the_cli_and_reads_the_caches(tmp_path, capsys, monkeypatch)
         assert misses == size > 0
     layers = {traced["names"][span[0]] for span in traced["spans"]}
     assert [layer for layer in VERIFY_LAYERS if layer not in layers] == []
+
+
+def test_bench_harness_tests_pass():
+    # the benchmark's own negative controls, run from the checkout root as
+    # their docstring says
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "bench/test_bench.py"],
+        cwd=BENCH.parent,
+        capture_output=True,
+        env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")

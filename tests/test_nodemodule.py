@@ -56,6 +56,13 @@ KNOWN_ROWS = [
 ]
 
 
+def referenced_names(func) -> set:
+    """Every name and attribute in the source of ``func``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 class TestReduction:
     def test_x1_minus_x2_dies(self):
         assert reduce_poly(X1 - X2).is_zero()
@@ -178,7 +185,7 @@ class TestDimensions:
         table = betti_table(10)
         for n in range(11):
             for j in range(n + 1):
-                assert table[n][j] == closed.c[n][j]
+                assert table[n][j] == closed[n][j]
 
 
 class TestAction:
@@ -278,11 +285,20 @@ class TestGeneration:
         for n_max in range(13):
             assert generation_checks(n_max) == poly_generation_checks(n_max), n_max
 
-    def test_integral_scaling_never_truncates(self):
-        assert nodemodule._integral(Fraction(6, 3)) == 2
-        assert type(nodemodule._integral(Fraction(6, 3))) is int
-        with pytest.raises(ValueError):
-            nodemodule._integral(Fraction(1, 2))
+    def test_scaled_fundamental_class_is_the_bare_monomial(self):
+        # the read-off of generation_checks rests on this: k!(n-k)! times the
+        # class of y1^k y2^(n-k)/k!(n-k)! is y1^k y2^(n-k), already reduced
+        for n in range(16):
+            for k in range(n + 1):
+                scaled = fundamental_class(n, k).rep * (factorial(k) * factorial(n - k))
+                assert scaled == Poly.monomial(2, (0, 0, k, n - k)), (n, k)
+
+    def test_generation_does_not_build_fundamental_classes(self):
+        # poly_generation_checks goes through these; sharing them would leave
+        # the two routes unable to check each other
+        banned = {"fundamental_class", "reduce_poly", "Poly", "Fraction"}
+        shared = referenced_names(nodemodule.generation_checks) & banned
+        assert not shared, shared
 
 
 def test_node_suite_ranks_only_int_rows(capsys, monkeypatch):
@@ -359,6 +375,13 @@ class TestOperatorIdentities:
         # d1 leaves the range from (0, 0): one empty column
         assert operator_columns(Generator("d", 1), 0, 0) == ((),)
 
+    def test_bad_generator_index_raises_before_the_range_check(self):
+        # d3 from (0, 0) would leave the range too, but there is no d3 at m = 2
+        with pytest.raises(ValueError):
+            operator_columns(Generator("d", 3), 0, 0)
+        with pytest.raises(ValueError):
+            commutator_columns(Generator("d", 3), Generator("x", 1), 0, 0)
+
     def test_operator_columns_are_int(self):
         # the generators act on monomials with integer coefficients and the
         # normal form rewrites with binomials, so no column entry is rational
@@ -414,10 +437,8 @@ class TestOperatorIdentities:
         # two routes that share the action would not check each other
         banned = {"generator_element", "WeylOp", "act", "reduce_poly", "Poly"}
         for func in (nodemodule.operator_columns, nodemodule._read_off, nodemodule._reduced):
-            tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-            assert not names & banned, (func.__name__, names & banned)
+            shared = referenced_names(func) & banned
+            assert not shared, (func.__name__, shared)
 
     def test_unit_commutator_on_one_piece(self):
         # [d1, mu+] as honest matrices on the (2, 2) piece

@@ -9,7 +9,6 @@ import pytest
 
 from nodehilb import series
 from nodehilb.series import (
-    Series2,
     ambient_module_pv,
     closed_form,
     closed_form_pv,
@@ -87,10 +86,10 @@ def denominator(q_factors, qt2_factors):
 
 
 def in_box(poly, order):
-    out = Series2(order)
+    out = [[0] * (order + 1) for _ in range(order + 1)]
     for (i, j), v in poly.items():
         if i <= order and j <= order:
-            out.c[i][j] += v
+            out[i][j] += v
     return out
 
 
@@ -98,17 +97,17 @@ class TestExpand:
     def test_geometric_series(self):
         s = expand({(0, 0): 1}, 8, 1, 0)
         for n in range(9):
-            assert s.c[n][0] == 1
-            assert all(s.c[n][j] == 0 for j in range(1, 9))
+            assert s[n][0] == 1
+            assert all(s[n][j] == 0 for j in range(1, 9))
 
     def test_derivative_of_geometric(self):
         s = expand({(0, 0): 1}, 8, 0, 2)
         for n in range(9):
             for j in range(9):
-                assert s.c[n][j] == ((n + 1) if j == n else 0)
+                assert s[n][j] == ((n + 1) if j == n else 0)
 
     def test_closed_form_row_five_column_three(self):
-        assert closed_form_pv(6).c[5][3] == 10
+        assert closed_form_pv(6)[5][3] == 10
 
     def test_multiplying_back_gives_numerator(self):
         order = 10
@@ -126,24 +125,24 @@ class TestExpand:
     def test_integer_routes_stay_in_int(self):
         for route in (closed_form_pv, mv_pv, paving_pv, module_pv):
             s = route(12)
-            assert all(type(v) is int for row in s.c for v in row), route.__name__
+            assert all(type(v) is int for row in s for v in row), route.__name__
 
 
 class TestClosedForm:
     def test_rows_match_figure(self):
         s = closed_form_pv(5)
         for n, row in enumerate(KNOWN_ROWS):
-            assert s.row(n) == row
+            assert s[n][: n + 1] == row
 
     def test_row_zero(self):
-        assert closed_form_pv(0).row(0) == [1]
+        assert closed_form_pv(0)[0][:1] == [1]
 
     def test_row_eight_matches_module_enumeration(self):
         from nodehilb.nodemodule import betti_table
 
         table = betti_table(8)
         s = closed_form_pv(8)
-        assert s.row(8) == table[8][:9]
+        assert s[8][:9] == table[8][:9]
 
 
 class TestComponentPolynomials:
@@ -208,10 +207,10 @@ class TestInclusionExclusion:
             for j, v in enumerate(intersection_poincare(2, k)):
                 total[j] -= v
         assert total == [1, 3, 3]
-        assert mv_pv(4).row(2) == [1, 3, 3]
+        assert mv_pv(4)[2][:3] == [1, 3, 3]
 
     def test_row_zero(self):
-        assert mv_pv(3).row(0) == [1]
+        assert mv_pv(3)[0][:1] == [1]
 
     def test_equals_closed_form_to_thirty(self):
         ok, where = series_equal(mv_pv(30), closed_form_pv(30))
@@ -225,34 +224,25 @@ class TestInclusionExclusion:
         # running sums of +-1 masses against counting each coefficient
         for order in [*range(41), 64]:
             s = mv_pv(order)
-            assert s.c == box_count_mv_pv(order).c, order
-            assert all(type(v) is int for row in s.c for v in row), order
+            assert s == box_count_mv_pv(order), order
+            assert all(type(v) is int for row in s for v in row), order
 
 
 def reached(roots: set) -> set:
     """Names in ``series`` that ``roots`` reach, read off the source.
 
-    A name or attribute that names a function reaches it, a class name
-    reaches its ``__init__`` and an attribute reaches the class methods of
-    that name.
+    A name or attribute that names a function reaches it.
     """
     tree = ast.parse(inspect.getsource(series))
-    defs = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            defs[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    defs[f"{node.name}.{item.name}"] = item
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def callees(func):
         out = set()
         for n in ast.walk(func):
             if isinstance(n, ast.Name):
-                out |= {n.id, f"{n.id}.__init__"} & defs.keys()
+                out |= {n.id} & defs.keys()
             elif isinstance(n, ast.Attribute):
-                out |= {k for k in defs if k == n.attr or k.endswith("." + n.attr)}
+                out |= {n.attr} & defs.keys()
         return out
 
     seen, todo = set(), list(roots)
@@ -299,7 +289,7 @@ class TestPavingRoute:
                     if j1 + j2 <= 2:
                         expected[j1 + j2] += u * v
         assert expected == [1, 3, 3]
-        assert paving_pv(4).row(2) == [1, 3, 3]
+        assert paving_pv(4)[2][:3] == [1, 3, 3]
 
     def test_equals_closed_form_to_thirty(self):
         ok, where = series_equal(paving_pv(30), closed_form_pv(30))
@@ -310,12 +300,12 @@ class TestModuleRoute:
     def test_first_row_pieces(self):
         amb = ambient_module_pv(3)
         sub = submodule_pv(3)
-        assert amb.row(1) == [2, 2]
-        assert sub.row(1) == [1, 0]
-        assert (amb - sub).row(1) == [1, 2]
+        assert amb[1][:2] == [2, 2]
+        assert sub[1][:2] == [1, 0]
+        assert module_pv(3)[1][:2] == [1, 2]
 
     def test_constant_term(self):
-        assert module_pv(3).row(0) == [1]
+        assert module_pv(3)[0][:1] == [1]
 
     def test_identity_to_thirty(self):
         quotient, _, mismatches = module_pv_identity(30)
@@ -325,8 +315,8 @@ class TestModuleRoute:
         assert ok, where
 
     def test_enumeration_cross_check_contents(self):
-        _, bound, mismatches = module_pv_identity(12, enumeration_bound=8)
-        assert bound == 8
+        _, bound, mismatches = module_pv_identity(12)
+        assert bound == 12
         assert mismatches == []
 
 
@@ -340,8 +330,8 @@ class TestSeriesEqual:
     def test_first_discrepancy_location(self):
         a = closed_form_pv(4)
         b = closed_form_pv(4)
-        b.c[2][1] += 1
-        b.c[3][0] += 1
+        b[2][1] += 1
+        b[3][0] += 1
         ok, where = series_equal(a, b)
         assert not ok and where == (2, 1)
 
@@ -357,7 +347,7 @@ class TestSpecializations:
         univ = expand({(2, 0): 1, (1, 0): -1, (0, 0): 1}, 15, 4, 0)
         full = closed_form_pv(15)
         for n in range(16):
-            assert sum(full.row(n)) == univ.c[n][0]
+            assert sum(full[n][: n + 1]) == univ[n][0]
 
     def test_component_count_per_row(self):
         # the inclusion-exclusion row at level n sums n+1 component polynomials
@@ -367,9 +357,6 @@ class TestSpecializations:
             assert component_count(n, 2) == n + 1
 
 
-class TestSeries2:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            Series2(2, [[Fraction(0)] * 2 for _ in range(3)])
-        with pytest.raises(ValueError):
-            Series2(-1)
+def test_negative_order_rejected():
+    with pytest.raises(ValueError):
+        closed_form_pv(-1)
