@@ -72,21 +72,29 @@ def _is_pivot(e: tuple) -> bool:
 
 
 def _normal_form(e: tuple) -> list:
-    """The canonical representative of one monomial, as (monomial, int) terms."""
+    """The canonical representative of one monomial, as (monomial, int) terms.
+
+    The terms come largest monomial first, which is row order in its piece:
+    the a1 = a block, then the a1 = 0 block, each with b1 counting down.
+    """
     if not _is_pivot(e):
         return [(e, 1)]
     a, b, s, _ = e
-    terms = [((0, a + b, s, 0), 1)]
-    for i in range(1, s + 1):
-        k = comb(s, i)
-        terms += [((0, a + b, s - i, i), k), ((a, b, s - i, i), -k)]
-    return terms
+    return [((a, b, s - i, i), -comb(s, i)) for i in range(1, s + 1)] + [
+        ((0, a + b, s - i, i), comb(s, i)) for i in range(s + 1)
+    ]
 
 
 @lru_cache(maxsize=None)
 def piece_data(n: int, d: int) -> tuple:
     """The canonical basis of the (n, d) piece: its non-pivot monomials, largest first."""
     return tuple(e for e in piece_monomials(n, d) if not _is_pivot(e))
+
+
+@lru_cache(maxsize=None)
+def piece_index(n: int, d: int) -> dict:
+    """The row of each basis monomial of the (n, d) piece; shared, so never mutate it."""
+    return {e: i for i, e in enumerate(piece_data(n, d))}
 
 
 class NodeClass(NamedTuple):
@@ -139,7 +147,12 @@ def dim_ambient(n: int, d: int) -> int:
 
 
 def dim_submodule(n: int, d: int) -> int:
-    """dim of the (n, d) piece of U (exact rank of its spanning set)."""
+    """dim of the (n, d) piece of U (exact rank of its spanning set).
+
+    No certificate here: the distinct leading monomials x1^(a+1) x2^b y1^s
+    of these rows are the Groebner fact behind ``_normal_form`` and
+    ``dim_piece``, so it would share its argument with the count it checks.
+    """
     gens = u_generator_exponents(n, d)
     if not gens:
         return 0
@@ -210,8 +223,8 @@ def _piece_in_range(n: int, d: int) -> bool:
 
 
 def _reduced(f: tuple, row: dict) -> tuple:
-    """The column of a pivot image f, through its normal form."""
-    return tuple(sorted((row[h], c) for h, c in _normal_form(f)))
+    """The column of a pivot image f, through its normal form, in row order."""
+    return tuple((row[h], c) for h, c in _normal_form(f))
 
 
 _x1, _x2, _d1, _d2, _mup, _mum = generators(M)
@@ -270,7 +283,7 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
     n2, d2 = n + dn, d + dd
     if not _piece_in_range(n2, d2):
         return tuple(() for _ in src)
-    return _read_off(g, src, {e: i for i, e in enumerate(piece_data(n2, d2))})
+    return _read_off(g, src, piece_index(n2, d2))
 
 
 def commutator_columns(a: Generator, b: Generator, n: int, d: int) -> list[dict]:
@@ -334,17 +347,45 @@ def relation_matrix_checks(n_max: int) -> list[PieceCheck]:
     return checks
 
 
+def _leads(vecs) -> set:
+    """The largest index of each sparse vector, if its entry there is nonzero.
+
+    Vectors list their (index, coeff) pairs in ascending index order.  Ones
+    with distinct leads are independent: by lead, they form a triangle.
+    """
+    return {v[-1][0] for v in vecs if v and v[-1][1]}
+
+
+def certified_rank(vecs, ncols: int) -> int:
+    """Exact rank of sparse vectors over ``ncols`` columns.
+
+    The count of distinct leads bounds the rank from below, so when it
+    reaches ``min(len(vecs), ncols)`` it is the rank; otherwise ``rank``
+    eliminates.
+    """
+    leads = len(_leads(vecs))
+    if leads == min(len(vecs), ncols):
+        return leads
+    return rank([dict(v) for v in vecs], ncols)
+
+
 def injectivity_checks(n_max: int) -> list[PieceCheck]:
-    """x1, x2 and y1+y2 must act injectively on every piece with n <= n_max."""
+    """x1, x2 and y1+y2 must act injectively on every piece with n <= n_max.
+
+    A generator is injective on a piece iff its columns are independent in
+    the target piece.  The largest rows of the columns (their smallest
+    monomials) are distinct on every piece with n <= 30, so
+    ``certified_rank`` decides a pass with no elimination; ``rank`` is the
+    fallback that measures a failure.
+    """
     checks = []
     for g in (_x1, _x2, _mup):
         for n in range(n_max + 1):
             for j in range(n + 1):
                 d = 2 * j
-                # injective iff the columns are independent in the target piece
                 cols = operator_columns(g, n, d)
                 target = piece_data(n + g.bidegree[0], d + g.bidegree[1])
-                ok = rank([dict(col) for col in cols], len(target)) == len(cols)
+                ok = certified_rank(cols, len(target)) == len(cols)
                 checks.append(PieceCheck(f"mult-by-{g}-injective", n, d, ok))
     return checks
 
@@ -368,21 +409,23 @@ def generation_checks(n_max: int) -> list[GenerationCheck]:
 
     For every n <= K <= n_max, the classes of
     x1^a x2^b y1^k y2^(n-k)/k!(n-k)! with a+b = K-n span the whole (K, 2n)
-    piece; the check compares an exact rank with the piece dimension.
+    piece; the check compares their rank with the piece dimension.
     Scaling a class by k!(n-k)! leaves the span alone and leaves the bare
     monomial, so the row of each translate is the normal form of
-    (a, K-n-a, k, n-k), read off the exponents in ``int``.
+    (a, K-n-a, k, n-k), read off the exponents in ``int``.  The largest
+    columns of the rows cover the piece for every n <= K <= 30, so
+    ``certified_rank`` decides a pass; ``rank`` is the fallback.
     """
     checks = []
     for n in range(n_max + 1):
         for K in range(n, n_max + 1):
-            index = {e: i for i, e in enumerate(piece_data(K, 2 * n))}
+            index = piece_index(K, 2 * n)
             rows = [
-                {index[e]: c for e, c in _normal_form((a, K - n - a, k, n - k))}
+                [(index[e], c) for e, c in _normal_form((a, K - n - a, k, n - k))]
                 for a in range(K - n + 1)
                 for k in range(n + 1)
             ]
-            checks.append(GenerationCheck(K, n, rank(rows, len(index)), len(index)))
+            checks.append(GenerationCheck(K, n, certified_rank(rows, len(index)), len(index)))
     return checks
 
 

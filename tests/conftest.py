@@ -1,10 +1,23 @@
-"""Test session set-up: the suite writes no bytecode next to the sources it imports.
+"""Test session set-up and the fixtures several test files share.
 
-A tree that carries ``.pyc`` files starts its interpreters faster, so a
-test run would otherwise change what a later benchmark of the same tree
-measures.
+The suite writes no bytecode next to the sources it imports: a tree that
+carries ``.pyc`` files starts its interpreters faster, so a test run would
+otherwise change what a later benchmark of the same tree measures.
 """
 
 import sys
 
+import pytest
+
 sys.dont_write_bytecode = True
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """Every matrix that reaches ``nodemodule.rank`` during the test, in call order."""
+    from nodehilb import nodemodule
+
+    calls = []
+    real = nodemodule.rank
+    monkeypatch.setattr(nodemodule, "rank", lambda mat, ncols=None: calls.append(mat) or real(mat, ncols))
+    return calls

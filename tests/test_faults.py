@@ -33,7 +33,7 @@ def fresh_caches():
     Otherwise columns cached by earlier tests would hide the fault, and the
     broken columns would leak into later tests.
     """
-    caches = (nodemodule.piece_data, nodemodule.operator_columns)
+    caches = (nodemodule.piece_data, nodemodule.piece_index, nodemodule.operator_columns)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -137,7 +137,8 @@ def test_kernel_suite_catches_two_classes_pulled_back_to_one(capsys, monkeypatch
     assert captured.out == "" and captured.err.startswith("error: component (3, ")
 
 
-def test_node_suite_catches_a_lost_x1_column(capsys, monkeypatch):
+def test_node_suite_catches_a_lost_x1_column(capsys, monkeypatch, ranked):
+    # the empty column has no lead, so this piece alone falls back to rank
     real = nodemodule.operator_columns
 
     def broken(g, n, d):
@@ -152,11 +153,13 @@ def test_node_suite_catches_a_lost_x1_column(capsys, monkeypatch):
     assert failures_of(report, "multiplication-injectivity") == [
         {"name": "mult-by-x1-injective", "n": 3, "d": 2}
     ]
+    assert len(ranked) == 1 and ranked[0][0] == {}
 
 
-def test_node_suite_catches_a_missing_fundamental_class(capsys, monkeypatch, fresh_caches):
+def test_node_suite_catches_a_missing_fundamental_class(capsys, monkeypatch, fresh_caches, ranked):
     # every monomial ending y1 y2 reduced to 0: the translates of the class
-    # y1 y2 of row 2 vanish, and the other checks reduce no such monomial
+    # y1 y2 of row 2 vanish, and the other checks reduce no such monomial;
+    # the leads of row 2 no longer cover its pieces, which fall back to rank
     real = nodemodule._normal_form
 
     def dropped(e):
@@ -168,6 +171,7 @@ def test_node_suite_catches_a_missing_fundamental_class(capsys, monkeypatch, fre
     failures = failures_of(report, "generation-by-fundamental-classes")
     assert {"points": 2, "row": 2, "rank": 2, "dim": 3} in failures
     assert all(f["row"] == 2 and f["rank"] < f["dim"] for f in failures)
+    assert len(ranked) == len(failures) == 3
 
 
 def test_node_suite_catches_a_normal_form_without_its_sum(capsys, monkeypatch, fresh_caches):
@@ -284,6 +288,21 @@ def test_settled_relation_entries_equal_their_commutators(monkeypatch, fresh_cac
     assert all(verdicts) == (g is None or g.kind.startswith("mu"))
 
 
+def test_a_smallest_row_certificate_falls_back_on_the_x1_pieces_it_cannot_decide(monkeypatch, ranked):
+    # the smallest row of a column is its largest monomial, which is no
+    # certificate: x1 sends the pivot image (1, A, j, 0) through its normal
+    # form, whose first term (1, A, j-1, 1) is also x1 of (0, A, j-1, 1), so
+    # every x1 piece with j >= 1 repeats a row and must fall back to rank
+    monkeypatch.setattr(nodemodule, "_leads", lambda vecs: {v[0][0] for v in vecs if v and v[0][1]})
+    x1 = Generator("x", 1)
+    undecided = [(n, 2 * j) for n in range(11) for j in range(1, n + 1)]
+    inj = nodemodule.injectivity_checks(10)
+    assert ranked == [[dict(col) for col in nodemodule.operator_columns(x1, n, d)] for n, d in undecided]
+    gen = nodemodule.generation_checks(10)
+    assert len(ranked) == len(undecided) == 55
+    assert all(c.ok for c in inj + gen)
+
+
 def only_failing_check(report):
     (failed,) = [c["check"] for c in report["checks"] if c["status"] != "pass"]
     return failed
@@ -311,7 +330,9 @@ def test_node_suite_catches_a_rank_that_stops_one_column_early(capsys, monkeypat
     # translates span it all counts one short of its dimension; verify series
     # also ranks through nodemodule.rank (dim_submodule), but U never has full
     # column rank in a piece -- every piece of the quotient is nonzero -- so
-    # the stop is never reached there
+    # the stop is never reached there.  The certificates would decide every
+    # piece without rank, so they decline here and every matrix is ranked
+    monkeypatch.setattr(nodemodule, "_leads", lambda vecs: set())
     real = nodemodule.rank
     monkeypatch.setattr(nodemodule, "rank", lambda mat, ncols=None: real(mat, ncols - 1))
     code, report = verify(capsys, "node", "--n-max", "6")

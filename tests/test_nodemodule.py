@@ -301,14 +301,61 @@ class TestGeneration:
         assert not shared, shared
 
 
-def test_node_suite_ranks_only_int_rows(capsys, monkeypatch):
-    # every row the node suite ranks is built in int, so none is converted
+def test_node_suite_ranks_only_int_rows(capsys, monkeypatch, ranked):
+    # every row the node suite ranks is built in int, so none is converted;
+    # the certificates leave nothing to rank, so the second run declines
+    # them and sends every injectivity and generation matrix to rank
     def converted(items):
         raise AssertionError("a row went through _int_row")
 
     monkeypatch.setattr(exact, "_int_row", converted)
-    assert main(["verify", "node", "--n-max", "6"]) == 0
-    assert '"status": "pass"' in capsys.readouterr().out
+    for declined in (False, True):
+        if declined:
+            monkeypatch.setattr(nodemodule, "_leads", lambda vecs: set())
+        assert main(["verify", "node", "--n-max", "6"]) == 0
+        assert '"status": "pass"' in capsys.readouterr().out
+        assert len(ranked) == declined * (3 * 28 + 28)
+
+
+class TestCertificates:
+    def test_columns_and_normal_forms_list_rows_in_ascending_order(self):
+        # _leads reads the largest row of a column or generation row as its
+        # last entry, so both must come in strictly ascending row order
+        def ascending(terms):
+            rows = [i for i, _ in terms]
+            return all(a < b for a, b in zip(rows, rows[1:]))
+
+        for n in range(21):
+            for d in range(0, 2 * n + 1, 2):
+                for g in generators(2):
+                    assert all(map(ascending, operator_columns(g, n, d))), (g, n, d)
+                index = nodemodule.piece_index(n, d)
+                assert index == {e: i for i, e in enumerate(piece_data(n, d))}
+                for e in piece_monomials(n, d):
+                    terms = [(index[h], c) for h, c in nodemodule._normal_form(e)]
+                    assert ascending(terms), e
+
+    def test_certificates_agree_with_elimination(self, monkeypatch):
+        # every injectivity and generation matrix with n <= 20 is decided by
+        # its leads, and elimination, the independent route, gives that rank
+        seen = []
+        real = nodemodule.certified_rank
+        monkeypatch.setattr(
+            nodemodule, "certified_rank", lambda vecs, ncols: seen.append((vecs, ncols)) or real(vecs, ncols)
+        )
+        injectivity_checks(20)
+        generation_checks(20)
+        assert len(seen) == 3 * 231 + 231
+        for vecs, ncols in seen:
+            full = min(len(vecs), ncols)
+            assert len(nodemodule._leads(vecs)) == full
+            assert exact.rank([dict(v) for v in vecs], ncols) == full
+
+    def test_verify_node_ranks_nothing_at_the_desk_cap(self, capsys, ranked):
+        # a certificate that stops deciding shows here, not only in the benchmark
+        assert main(["verify", "node", "--n-max", "15"]) == 0
+        capsys.readouterr()
+        assert ranked == []
 
 
 class TestNoExtension:
