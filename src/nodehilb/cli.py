@@ -18,9 +18,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from . import geometry, nodemodule, series
-from .exact import frac_str
-from .weyl import generator_element, generators, verify_relations
+from . import exact, geometry, nodemodule, series, weyl
 
 DESK_LIMITS = {"relations_m": 5, "node_n": 15, "kernel_n": 15, "series_order": 64}
 
@@ -126,7 +124,7 @@ def run_series(args) -> int:
         return 2
     s = makers[which](order)
     _emit_rows(
-        [[frac_str(v) for v in s[n][: n + 1]] for n in range(order + 1)], args.format, {"order": order}
+        [[exact.frac_str(v) for v in s[n][: n + 1]] for n in range(order + 1)], args.format, {"order": order}
     )
     return 0
 
@@ -228,8 +226,8 @@ def _compared(name: str, a, b) -> dict:
 
 
 def verify_relations_report(m: int) -> dict:
-    tally = _tally(verify_relations(m))
-    realization = {str(g): str(generator_element(g, m)) for g in generators(m)}
+    tally = _tally(weyl.verify_relations(m))
+    realization = {str(g): str(weyl.generator_element(g, m)) for g in weyl.generators(m)}
     return {"status": _status(not tally["failures"]), "generators": realization, **tally}
 
 

@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import nodemodule
-from .series import intersection_poincare
+from . import nodemodule, series
 
 
 def component_count(n: int, m: int) -> int:
@@ -190,7 +189,7 @@ def mv_dimension_check(n: int) -> dict:
         comp = sum(poincare_from_basis(n, k)[j] for k in range(n + 1))
         inter = 0
         for k in range(n):
-            poly = intersection_poincare(n, k)
+            poly = series.intersection_poincare(n, k)
             if j < len(poly):
                 inter += poly[j]
         expected = nodemodule.dim_piece(n, 2 * j)

@@ -441,17 +441,131 @@ class TestDeterminism:
         assert outs.pop() == out.encode()
 
 
+def run_child(code: str, *argv: str, flags=()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package this process imported."""
+    package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code, *argv],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return proc
+
+
+LIBRARY = ("exact", "geometry", "nodemodule", "series", "weyl")
+
+# Runs the CLI on its argv, then prints which library modules have executed.
+# A module that is registered but not yet loaded is still a LazyLoader module:
+# type() does not load it, while isinstance() or m.__class__ would.
+EXECUTED = f"""
+import sys, types
+import nodehilb.cli
+code = nodehilb.cli.main(sys.argv[1:])
+ran = [m for m in {LIBRARY!r} if type(sys.modules["nodehilb." + m]) is types.ModuleType]
+print(code, *ran, "fractions" if "fractions" in sys.modules else "-", file=sys.stderr)
+"""
+
+
+class TestStartup:
+    def test_cli_import_registers_the_library_unexecuted(self):
+        proc = run_child(
+            "import sys, types, nodehilb.cli\n"
+            f"for m in {LIBRARY!r}:\n"
+            "    mod = sys.modules['nodehilb.' + m]\n"
+            "    print(m, type(mod) is not types.ModuleType)\n"
+        )
+        assert proc.stdout.decode().split("\n")[:-1] == [f"{m} True" for m in LIBRARY]
+
+    @pytest.mark.parametrize(
+        "argv, executed",
+        [
+            ("kernel --n 3", "geometry -"),
+            ("paving --n 2", "geometry -"),
+            ("components --n 2 --m 3", "geometry -"),
+            ("series --which closed --order 4", "exact series fractions"),
+            ("verify relations --m 2", "exact weyl fractions"),
+        ],
+    )
+    def test_a_command_executes_only_the_modules_it_runs(self, argv, executed):
+        proc = run_child(EXECUTED, *argv.split())
+        assert proc.stderr.decode() == f"0 {executed}\n"
+
+    @pytest.mark.parametrize("argv", ["verify node --n-max 2", "betti --n-max 3"])
+    def test_the_node_commands_never_execute_geometry(self, argv):
+        code, *ran = run_child(EXECUTED, *argv.split()).stderr.decode().split()
+        assert code == "0" and "nodemodule" in ran and "geometry" not in ran
+
+
+# the public names of the package in the order of __all__, with the module
+# that defines each
+PUBLIC = [
+    ("Poly", "exact"),
+    ("CohElem", "geometry"),
+    ("coh_basis", "geometry"),
+    ("component_count", "geometry"),
+    ("kernel_intersection", "geometry"),
+    ("paving_census", "geometry"),
+    ("pullback_x1", "geometry"),
+    ("pullback_x2", "geometry"),
+    ("NodeClass", "nodemodule"),
+    ("apply_generator", "nodemodule"),
+    ("betti_table", "nodemodule"),
+    ("dim_piece", "nodemodule"),
+    ("fundamental_class", "nodemodule"),
+    ("reduce_poly", "nodemodule"),
+    ("closed_form_pv", "series"),
+    ("mv_pv", "series"),
+    ("paving_pv", "series"),
+    ("series_equal", "series"),
+    ("Generator", "weyl"),
+    ("WeylOp", "weyl"),
+    ("commutator", "weyl"),
+    ("generator_element", "weyl"),
+    ("subalgebra_membership", "weyl"),
+    ("verify_relations", "weyl"),
+]
+
+
+class TestPublicSurface:
+    def test_all_is_unchanged(self):
+        assert nodehilb.__all__ == [name for name, _ in PUBLIC]
+
+    def test_star_import_binds_each_owners_object(self):
+        # prints the public names that the star import left unbound or bound
+        # to anything but the defining module's object
+        proc = run_child(
+            "import json, sys\n"
+            "from nodehilb import *\n"
+            "print([n for n, m in json.loads(sys.argv[1])"
+            " if globals().get(n) is not getattr(sys.modules['nodehilb.' + m], n)])",
+            json.dumps(PUBLIC),
+        )
+        assert proc.stdout == b"[]\n"
+
+    def test_dir_lists_the_public_names(self):
+        listed = dir(nodehilb)
+        assert "__all__" in listed
+        assert [name for name, _ in PUBLIC if name not in listed] == []
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'nodehilb' has no attribute 'no_such_name'$"):
+            nodehilb.no_such_name
+
+
 class TestRecords:
     def test_cli_import_loads_no_dataclasses(self):
-        # the records are NamedTuples; -S keeps site's own imports out of the count
-        package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", "import sys, nodehilb.cli; print('dataclasses' in sys.modules)"],
-            capture_output=True,
-            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
+        # the records are NamedTuples; -S keeps site's own imports out of the
+        # count, and vars() executes every lazily loaded module of the package
+        proc = run_child(
+            "import sys, types, nodehilb.cli\n"
+            f"mods = [sys.modules['nodehilb.' + m] for m in {LIBRARY!r}]\n"
+            "for mod in mods:\n"
+            "    vars(mod)\n"
+            "print('dataclasses' in sys.modules, all(type(mod) is types.ModuleType for mod in mods))",
+            flags=["-S"],
         )
-        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-        assert proc.stdout == b"False\n"
+        assert proc.stdout == b"False True\n"
 
     @pytest.mark.parametrize(
         "record, field",

@@ -3,7 +3,7 @@
 Runs every command of the benchmark workloads in-process and compares the
 exit code and the sha256 of stdout with ``bench/goldens.json``, the digests
 the benchmark itself checks; and runs the benchmark's layer tracer,
-``bench/trace_child.py``, on one command.
+``bench/trace_child.py``, on a few commands.
 """
 
 import hashlib
@@ -57,28 +57,50 @@ VERIFY_LAYERS = [
 ]
 
 
+def traced_run(args, tmp_path, capsys) -> dict:
+    """Run ``args`` under the benchmark's tracer and return its span file.
+
+    The traced command must exit 0 and print exactly what ``main(args)``
+    prints in this process.
+    """
+    package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
+    span_file = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "trace_child.py"), str(span_file), "--", *args],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    return json.loads(span_file.read_text())
+
+
 def test_tracer_runs_the_cli_and_reads_the_caches(tmp_path, capsys, monkeypatch):
     # the tracer wraps functions by name and reads cache_info() of the two
     # cached layers, so a rename or a lost lru_cache breaks traced runs
     monkeypatch.delenv("RUN_SCALE", raising=False)
-    package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
     for args in (["betti", "--n-max", "3"], ["verify", "all", "--n-max", "3", "--order", "4"]):
-        span_file = tmp_path / "spans.json"
-        proc = subprocess.run(
-            [sys.executable, str(BENCH / "trace_child.py"), str(span_file), "--", *args],
-            capture_output=True,
-            env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
-        )
-        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-        assert main(args) == 0
-        assert proc.stdout == capsys.readouterr().out.encode()
-        traced = json.loads(span_file.read_text())
+        traced = traced_run(args, tmp_path, capsys)
         cache = traced["cache"]
         assert {"nodemodule.piece_data", "nodemodule.operator_columns"} <= set(cache)
         hits, misses, size = cache["nodemodule.piece_data"]
         assert misses == size > 0
     layers = {traced["names"][span[0]] for span in traced["spans"]}
     assert [layer for layer in VERIFY_LAYERS if layer not in layers] == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["kernel --n 4", "paving --n 3 --format json", "series --which closed --order 8 --format json"],
+)
+def test_tracer_runs_the_commands_that_load_part_of_the_package(command, tmp_path, capsys, monkeypatch):
+    # these commands leave most library modules unexecuted; the tracer must
+    # still find, load and wrap every module it names
+    monkeypatch.delenv("RUN_SCALE", raising=False)
+    traced = traced_run(command.split(), tmp_path, capsys)
+    if command.startswith("kernel"):
+        assert "geometry.kernel_intersection" in {traced["names"][span[0]] for span in traced["spans"]}
 
 
 def test_bench_harness_tests_pass():
