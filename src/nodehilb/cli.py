@@ -18,7 +18,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from . import exact, geometry, nodemodule, series, weyl
+from . import geometry, nodemodule, series, weyl
 
 DESK_LIMITS = {"relations_m": 5, "node_n": 15, "kernel_n": 15, "series_order": 64}
 
@@ -123,9 +123,7 @@ def run_series(args) -> int:
         print(f"error: unknown series {which!r}", file=sys.stderr)
         return 2
     s = makers[which](order)
-    _emit_rows(
-        [[exact.frac_str(v) for v in s[n][: n + 1]] for n in range(order + 1)], args.format, {"order": order}
-    )
+    _emit_rows([[str(v) for v in s[n][: n + 1]] for n in range(order + 1)], args.format, {"order": order})
     return 0
 
 

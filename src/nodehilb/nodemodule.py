@@ -41,8 +41,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
+from . import weyl
 from .exact import Poly, add_into, rank
-from .weyl import Generator, generator_element, generators
 
 M = 2  # the node has two branches; everything in this module is at m = 2
 
@@ -181,12 +181,12 @@ def betti_table(n_max: int) -> list[list[int]]:
     ]
 
 
-def _check_index(g: Generator) -> None:
+def _check_index(g: weyl.Generator) -> None:
     if g.kind in ("x", "d") and not 1 <= g.index <= M:
         raise ValueError(f"generator index {g.index} out of range at m=2")
 
 
-def apply_generator(g: Generator, v: NodeClass) -> NodeClass:
+def apply_generator(g: weyl.Generator, v: NodeClass) -> NodeClass:
     """Act by a generator and reduce; shifts the bidegree by its own.
 
     This acts through the Weyl algebra element ``generator_element(g)`` on
@@ -198,7 +198,7 @@ def apply_generator(g: Generator, v: NodeClass) -> NodeClass:
     n2, d2 = v.n + dn, v.d + dd
     if n2 < 0 or d2 < 0:
         return NodeClass(Poly.zero(M), max(n2, 0), max(d2, 0))
-    acted = generator_element(g, M).act(v.rep)
+    acted = weyl.generator_element(g, M).act(v.rep)
     return reduce_poly(acted, (n2, d2))
 
 
@@ -227,10 +227,7 @@ def _reduced(f: tuple, row: dict) -> tuple:
     return tuple((row[h], c) for h, c in _normal_form(f))
 
 
-_x1, _x2, _d1, _d2, _mup, _mum = generators(M)
-
-
-def _read_off(g: Generator, src: tuple, row: dict) -> tuple:
+def _read_off(g: weyl.Generator, src: tuple, row: dict) -> tuple:
     """The columns of g on the basis monomials ``src``, ``row`` giving each target row.
 
     A basis monomial (a1, a2, b1, b2) has a1 = 0 or b2 >= 1, which x2, d1,
@@ -238,23 +235,23 @@ def _read_off(g: Generator, src: tuple, row: dict) -> tuple:
     would raise KeyError).  Only x1 on (0, A, j, 0) and d2 where b2 = 1 and
     a1 >= 1 meet a pivot, and just those go through ``_normal_form``.
     """
-    if g == _x1:
+    if g.kind == "x" and g.index == 1:
         return tuple(
             ((row[(a1 + 1, a2, b1, b2)], 1),) if b2 else _reduced((1, a2, b1, 0), row)
             for a1, a2, b1, b2 in src
         )
-    if g == _x2:
+    if g.kind == "x":
         return tuple(((row[(a1, a2 + 1, b1, b2)], 1),) for a1, a2, b1, b2 in src)
-    if g == _d1:
+    if g.kind == "d" and g.index == 1:
         return tuple(((row[(a1, a2, b1 - 1, b2)], b1),) if b1 else () for a1, a2, b1, b2 in src)
-    if g == _d2:
+    if g.kind == "d":
         return tuple(
             () if not b2
             else _reduced((a1, a2, b1, 0), row) if b2 == 1 and a1
             else ((row[(a1, a2, b1, b2 - 1)], b2),)
             for a1, a2, b1, b2 in src
         )
-    if g == _mup:
+    if g.kind == "mu+":
         return tuple(
             ((row[(a1, a2, b1 + 1, b2)], 1), (row[(a1, a2, b1, b2 + 1)], 1))
             for a1, a2, b1, b2 in src
@@ -268,7 +265,7 @@ def _read_off(g: Generator, src: tuple, row: dict) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def operator_columns(g: Generator, n: int, d: int) -> tuple:
+def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     """Sparse matrix of a generator from piece (n, d), one column per basis class.
 
     Column j lists (row, coeff) pairs over the canonical basis of the target
@@ -286,7 +283,7 @@ def operator_columns(g: Generator, n: int, d: int) -> tuple:
     return _read_off(g, src, piece_index(n2, d2))
 
 
-def commutator_columns(a: Generator, b: Generator, n: int, d: int) -> list[dict]:
+def commutator_columns(a: weyl.Generator, b: weyl.Generator, n: int, d: int) -> list[dict]:
     """Sparse columns of [a, b] on the (n, d) piece, +a b and -b a in one pass."""
     out: list[dict] = [{} for _ in piece_data(n, d)]
     for first, second, sign in ((b, a, 1), (a, b, -1)):
@@ -307,36 +304,24 @@ class PieceCheck(NamedTuple):
     ok: bool
 
 
-# The defining relations of A as (name, a, b, whether [a, b] is the identity
-# rather than zero), in report order: [d_i, mu+] = [mu-, x_i] = 1, and every
-# other pair of generators commutes.
-RELATIONS = [
-    (f"[{a},{b}]={'id' if ident else 0}", a, b, ident)
-    for a, b, ident in [
-        (_d1, _mup, True), (_d2, _mup, True), (_mum, _x1, True), (_mum, _x2, True),
-        (_x1, _x1, False), (_x1, _x2, False), (_x2, _x1, False), (_x2, _x2, False),
-        (_d1, _d1, False), (_d1, _d2, False), (_d2, _d1, False), (_d2, _d2, False),
-        (_d1, _x1, False), (_d1, _x2, False), (_d2, _x1, False), (_d2, _x2, False),
-        (_x1, _mup, False), (_x2, _mup, False), (_d1, _mum, False), (_d2, _mum, False),
-        (_mup, _mum, False),
-    ]
-]
-
-
 def relation_matrix_checks(n_max: int) -> list[PieceCheck]:
-    """Every entry of ``RELATIONS`` as an exact matrix identity on each piece n <= n_max.
+    """Each of ``weyl.defining_relations(2)`` as an exact matrix identity on each piece n <= n_max.
 
     One commutator per unordered pair: [a, a] = a a - a a is zero by
     construction, and [b, a] = -[a, b] takes the verdict of [a, b] = 0.
     The ``elif`` branch and ``zero`` exist only for those six entries; when
-    ROADMAP item 4 drops them from ``RELATIONS``, delete both here too.
+    the table keeps only j > i in its two symmetric families, delete both.
     """
+    relations = [
+        (f"[{r.a},{r.b}]={'id' if r.ident else 0}", r.a, r.b, r.ident)
+        for r in weyl.defining_relations(M)
+    ]
     checks = []
     for n in range(n_max + 1):
         for j in range(n + 1):
             d = 2 * j
             zero: dict = {}  # the verdicts of the zero relations computed on this piece
-            for name, a, b, ident in RELATIONS:
+            for name, a, b, ident in relations:
                 if ident:
                     ok = all(c == {i: 1} for i, c in enumerate(commutator_columns(a, b, n, d)))
                 elif a == b or (b, a) in zero:
@@ -378,8 +363,9 @@ def injectivity_checks(n_max: int) -> list[PieceCheck]:
     ``certified_rank`` decides a pass with no elimination; ``rank`` is the
     fallback that measures a failure.
     """
+    x1, x2, _, _, mup, _ = weyl.generators(M)
     checks = []
-    for g in (_x1, _x2, _mup):
+    for g in (x1, x2, mup):
         for n in range(n_max + 1):
             for j in range(n + 1):
                 d = 2 * j

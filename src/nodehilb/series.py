@@ -35,7 +35,6 @@ from itertools import accumulate
 from operator import add
 
 from . import nodemodule
-from .exact import frac_str
 
 Poly2 = dict  # exact bivariate polynomial: (i, j) -> coefficient of q^i t^(2j)
 Series = list[list[int]]  # truncated at order: order+1 rows of order+1 coefficients
@@ -211,9 +210,9 @@ def module_pv_identity(order: int) -> tuple[Series, int, list]:
             sub_count = nodemodule.dim_submodule(n, 2 * j)
             quo_count = nodemodule.dim_piece(n, 2 * j)
             if ambient[n][j] != amb_count:
-                mismatches.append(["ambient", n, j, frac_str(ambient[n][j]), amb_count])
+                mismatches.append(["ambient", n, j, str(ambient[n][j]), amb_count])
             if sub[n][j] != sub_count:
-                mismatches.append(["submodule", n, j, frac_str(sub[n][j]), sub_count])
+                mismatches.append(["submodule", n, j, str(sub[n][j]), sub_count])
             if diff[n][j] != quo_count:
-                mismatches.append(["quotient", n, j, frac_str(diff[n][j]), quo_count])
+                mismatches.append(["quotient", n, j, str(diff[n][j]), quo_count])
     return diff, bound, mismatches

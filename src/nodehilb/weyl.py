@@ -20,7 +20,12 @@ On top of the Weyl algebra this module realizes the subalgebra generated by
     x_1..x_m,  dy_1..dy_m,  mu_plus = y_1 + ... + y_m,  mu_minus = dx_1 + ... + dx_m,
 
 whose defining commutators are [dy_i, mu_plus] = [mu_minus, x_i] = 1 with
-every other pair of generators commuting.  The words
+every other pair of generators commuting.  ``defining_relations`` states
+them once, for ``verify_relations`` and ``nodemodule.relation_matrix_checks``.
+It still lists [x_i,x_j] and [d_i,d_j] with j <= i, which cannot fail; when
+it keeps only j > i, ``relation_matrix_checks`` drops its settling branch.
+
+The words
 
     x^a * mu_plus^s * dy^d * mu_minus^r
 
@@ -38,7 +43,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import Combination, Poly, add_into, render_terms
+from .exact import Combination, Poly, add_into, monomial_key, render_terms
 
 GENERATOR_BIDEGREES = {"x": (1, 0), "d": (-1, -2), "mu+": (1, 2), "mu-": (-1, 0)}
 
@@ -179,7 +184,7 @@ class WeylOp(Combination):
         flat = {}
         for (a, b, g, d), c in self.coeffs.items():
             flat[a + b + g + d] = c
-        terms = sorted(flat.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        terms = [(k, flat[k]) for k in sorted(flat, key=monomial_key, reverse=True)]
         return render_terms(terms, names)
 
 
@@ -234,6 +239,39 @@ def generator_element(g: Generator, m: int) -> WeylOp:
     return out
 
 
+class Relation(NamedTuple):
+    """One defining relation of the subalgebra: [a, b] is the identity or zero."""
+
+    family: str
+    i: int | None
+    j: int | None
+    a: Generator
+    b: Generator
+    ident: bool  # [a, b] = 1 rather than 0
+
+
+def defining_relations(m: int) -> list[Relation]:
+    """The defining relations at ambient size m, each once, family by family.
+
+    [d_i,mu+] = [mu-,x_i] = 1 first, then [x_i,x_j] = [d_i,d_j] = [d_i,x_j]
+    = 0 over ordered pairs, then [x_i,mu+] = [d_i,mu-] = [mu+,mu-] = 0.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    gens = generators(m)
+    x, d = dict(enumerate(gens[:m], 1)), dict(enumerate(gens[m : 2 * m], 1))
+    mup, mum = gens[2 * m :]
+    idx = range(1, m + 1)
+    table = [Relation("[d_i,mu+]=1", i, None, d[i], mup, True) for i in idx]
+    table += [Relation("[mu-,x_i]=1", i, None, mum, x[i], True) for i in idx]
+    for family, p, q in (("[x_i,x_j]=0", x, x), ("[d_i,d_j]=0", d, d), ("[d_i,x_j]=0", d, x)):
+        table += [Relation(family, i, j, p[i], q[j], False) for i in idx for j in idx]
+    table += [Relation("[x_i,mu+]=0", i, None, x[i], mup, False) for i in idx]
+    table += [Relation("[d_i,mu-]=0", i, None, d[i], mum, False) for i in idx]
+    table.append(Relation("[mu+,mu-]=0", None, None, mup, mum, False))
+    return table
+
+
 class RelationCheck(NamedTuple):
     family: str
     i: int | None
@@ -243,34 +281,14 @@ class RelationCheck(NamedTuple):
 
 
 def verify_relations(m: int) -> list[RelationCheck]:
-    """Check all defining commutators of the subalgebra generators.
-
-    Eight families: [x_i,x_j] = [d_i,d_j] = [d_i,x_j] = [x_i,mu+]
-    = [d_i,mu-] = [mu+,mu-] = 0 and [d_i,mu+] = [mu-,x_i] = 1.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    xs = {i: WeylOp.x(m, i) for i in range(1, m + 1)}
-    ds = {i: WeylOp.dy(m, i) for i in range(1, m + 1)}
-    mup = generator_element(Generator("mu+"), m)
-    mum = generator_element(Generator("mu-"), m)
-    one = WeylOp.one(m)
+    """Evaluate each of ``defining_relations(m)`` in the Weyl algebra."""
+    relations = defining_relations(m)  # raises for m < 1
+    element = {g: generator_element(g, m) for g in generators(m)}
+    expected = (WeylOp.zero(m), WeylOp.one(m))  # indexed by ident
     checks = []
-
-    def add(family, i, j, got, expected):
-        checks.append(RelationCheck(family, i, j, got == expected, str(got)))
-
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            add("[x_i,x_j]=0", i, j, commutator(xs[i], xs[j]), WeylOp.zero(m))
-            add("[d_i,d_j]=0", i, j, commutator(ds[i], ds[j]), WeylOp.zero(m))
-            add("[d_i,x_j]=0", i, j, commutator(ds[i], xs[j]), WeylOp.zero(m))
-    for i in range(1, m + 1):
-        add("[x_i,mu+]=0", i, None, commutator(xs[i], mup), WeylOp.zero(m))
-        add("[d_i,mu-]=0", i, None, commutator(ds[i], mum), WeylOp.zero(m))
-        add("[d_i,mu+]=1", i, None, commutator(ds[i], mup), one)
-        add("[mu-,x_i]=1", i, None, commutator(mum, xs[i]), one)
-    add("[mu+,mu-]=0", None, None, commutator(mup, mum), WeylOp.zero(m))
+    for r in relations:
+        got = commutator(element[r.a], element[r.b])
+        checks.append(RelationCheck(r.family, r.i, r.j, got == expected[r.ident], str(got)))
     return checks
 
 

@@ -483,8 +483,10 @@ class TestStartup:
             ("kernel --n 3", "geometry -"),
             ("paving --n 2", "geometry -"),
             ("components --n 2 --m 3", "geometry -"),
-            ("series --which closed --order 4", "exact series fractions"),
+            ("series --which closed --order 4", "series -"),
             ("verify relations --m 2", "exact weyl fractions"),
+            ("betti --n-max 3", "exact nodemodule series fractions"),
+            ("verify series --order 4", "exact nodemodule series fractions"),
         ],
     )
     def test_a_command_executes_only_the_modules_it_runs(self, argv, executed):

@@ -270,7 +270,7 @@ def test_settled_relation_entries_equal_their_commutators(monkeypatch, fresh_cac
     # verdict must be what computing that very commutator would give
     if g is not None:
         miscount_read_off_on_one_piece(monkeypatch, g)
-    relations = {name: (a, b) for name, a, b, ident in nodemodule.RELATIONS if not ident}
+    relations = {f"[{r.a},{r.b}]=0": (r.a, r.b) for r in weyl.defining_relations(2) if not r.ident}
     pairs = list(relations.values())
     settled = [
         name for k, (name, (a, b)) in enumerate(relations.items()) if a == b or (b, a) in pairs[:k]

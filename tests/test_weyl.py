@@ -11,6 +11,7 @@ from nodehilb.weyl import (
     SubalgebraWord,
     WeylOp,
     commutator,
+    defining_relations,
     generator_element,
     generators,
     subalgebra_membership,
@@ -204,7 +205,32 @@ class TestGenerators:
         assert [str(g) for g in gens] == ["x1", "x2", "d1", "d2", "mu+", "mu-"]
 
 
+def stated_relations(m):
+    """The eight families written out: (family, i, j, a, b, whether [a, b] = 1)."""
+    idx = range(1, m + 1)
+    mup, mum = Generator("mu+"), Generator("mu-")
+    out = [("[d_i,mu+]=1", i, None, Generator("d", i), mup, True) for i in idx]
+    out += [("[mu-,x_i]=1", i, None, mum, Generator("x", i), True) for i in idx]
+    for family, p, q in (("[x_i,x_j]=0", "x", "x"), ("[d_i,d_j]=0", "d", "d"), ("[d_i,x_j]=0", "d", "x")):
+        out += [(family, i, j, Generator(p, i), Generator(q, j), False) for i in idx for j in idx]
+    out += [("[x_i,mu+]=0", i, None, Generator("x", i), mup, False) for i in idx]
+    out += [("[d_i,mu-]=0", i, None, Generator("d", i), mum, False) for i in idx]
+    return out + [("[mu+,mu-]=0", None, None, mup, mum, False)]
+
+
 class TestRelations:
+    @pytest.mark.parametrize("m, count", [(1, 8), (2, 21), (3, 40), (4, 65), (5, 96)])
+    def test_table_is_the_families_written_out(self, m, count):
+        table = defining_relations(m)
+        assert [tuple(r) for r in table] == stated_relations(m)
+        assert len(table) == count
+        # verify_relations evaluates the table: one record per entry, in order
+        assert [(c.family, c.i, c.j) for c in verify_relations(m)] == [(r.family, r.i, r.j) for r in table]
+
+    def test_table_needs_a_positive_m(self):
+        with pytest.raises(ValueError):
+            defining_relations(0)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_all_families_pass(self, m):
         checks = verify_relations(m)
