@@ -6,10 +6,12 @@ division happens: in the read-out of the linear algebra below or in a caller
 that divides.  Nothing is ever rounded.
 
 Polynomials and Weyl operators (``weyl.WeylOp``) are both sparse exact
-linear combinations, and share one class, :class:`Combination`: its
+linear combinations of monomials in commuting exponents, and share one
+class, :class:`Combination`.  It holds the key format: a key is one flat
+exponent tuple, m entries for each variable prefix of the subclass.  Its
 constructor checks every key and drops zero coefficients, and it holds the
-sums, scalar and ring products, powers, equality and hashing once.  Each
-subclass adds only its key check, its unit and the product of two keys.  A
+sums, scalar and ring products, powers, equality, hashing and text form
+once.  Each subclass adds only its prefixes and the product of two keys.  A
 sparse coefficient dict is accumulated in one place, :func:`add_into`.
 
 Polynomials live in Q[x1..xm, y1..ym].  A monomial is a flat exponent tuple
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Monomial = tuple  # flat exponent tuple of length 2m
+Monomial = tuple  # flat exponent tuple: m entries per prefix of its class
 
 
 def frac_str(x) -> str:
@@ -86,11 +88,11 @@ class Combination:
 
     The one implementation of the arithmetic that polynomials (:class:`Poly`)
     and Weyl operators (``weyl.WeylOp``) share.  ``m >= 1`` is the ambient
-    component count every key is checked against.  A subclass supplies
+    component count.  A key is a flat tuple of ``len(PREFIXES) * m``
+    nonnegative exponents: for each prefix p, in order, those of p1..pm.
+    A subclass supplies
 
-    * ``_key(key)``: the key in canonical form, or ``ValueError`` if it is
-      not a key at ``m``;
-    * ``_unit(m)``: the key of 1;
+    * ``PREFIXES``: the variable prefixes, such as ``("x", "y")``;
     * ``_mono_mul(k1, k2)``: the product of two keys as ``(key, int)``
       pairs.
 
@@ -99,6 +101,7 @@ class Combination:
     """
 
     __slots__ = ("m", "coeffs")
+    PREFIXES: tuple[str, ...] = ()
 
     def __init__(self, m: int, coeffs: dict | None = None):
         if m < 1:
@@ -111,6 +114,16 @@ class Combination:
                 if c:
                     clean[self._key(key)] = c
         self.coeffs = clean
+
+    def _key(self, exps) -> Monomial:
+        exps = tuple(exps)
+        if len(exps) != len(self.PREFIXES) * self.m or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps} for m={self.m}")
+        return exps
+
+    @classmethod
+    def _unit(cls, m: int) -> Monomial:
+        return (0,) * (len(cls.PREFIXES) * m)
 
     # -- constructors ------------------------------------------------------
 
@@ -125,6 +138,27 @@ class Combination:
     @classmethod
     def one(cls, m: int):
         return cls.constant(m, 1)
+
+    @classmethod
+    def monomial(cls, m: int, exps: Monomial, c=1):
+        return cls(m, {tuple(exps): c})
+
+    @classmethod
+    def variable(cls, m: int, idx: int):
+        """Variable by flat index: ``PREFIXES[s]`` i is index ``s*m + i - 1``."""
+        size = len(cls.PREFIXES) * m
+        if not 0 <= idx < size:
+            raise ValueError(f"variable index {idx} out of range for m={m}")
+        exps = [0] * size
+        exps[idx] = 1
+        return cls.monomial(m, exps)
+
+    @classmethod
+    def _single(cls, m: int, slot: int, i: int):
+        """The variable ``PREFIXES[slot]`` i, with 1-based i."""
+        if not 1 <= i <= m:
+            raise ValueError(f"index {i} out of range for m={m}")
+        return cls.variable(m, slot * m + i - 1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -191,6 +225,31 @@ class Combination:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    # -- rendering ---------------------------------------------------------
+
+    def var_names(self) -> list[str]:
+        return [f"{p}{i}" for p in self.PREFIXES for i in range(1, self.m + 1)]
+
+    def __str__(self):
+        """Canonical text form: terms in the fixed monomial order, leading first."""
+        names = self.var_names()
+        out = ""
+        for exps in sorted(self.coeffs, key=monomial_key, reverse=True):
+            c = self.coeffs[exps]
+            mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+            a = abs(c)
+            if not mono:
+                body = frac_str(a)
+            elif a == 1:
+                body = mono
+            else:
+                body = f"{frac_str(a)}*{mono}"
+            if out:
+                out += f" {'-' if c < 0 else '+'} {body}"
+            else:
+                out = "-" + body if c < 0 else body
+        return out or "0"
+
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m}, {self})"
 
@@ -199,51 +258,22 @@ class Poly(Combination):
     """Sparse polynomial in Q[x1..xm, y1..ym], keyed by flat exponent tuples."""
 
     __slots__ = ()
-
-    def _key(self, exps) -> Monomial:
-        exps = tuple(exps)
-        if len(exps) != 2 * self.m or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple {exps} for m={self.m}")
-        return exps
-
-    @classmethod
-    def _unit(cls, m: int) -> Monomial:
-        return (0,) * (2 * m)
+    PREFIXES = ("x", "y")
 
     def _mono_mul(self, e1, e2):
         return ((tuple(a + b for a, b in zip(e1, e2)), 1),)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, m: int, exps: Monomial, c=1) -> "Poly":
-        return cls(m, {tuple(exps): c})
-
-    @classmethod
-    def variable(cls, m: int, idx: int) -> "Poly":
-        """Variable by flat index: 0..m-1 are x1..xm, m..2m-1 are y1..ym."""
-        if not 0 <= idx < 2 * m:
-            raise ValueError(f"variable index {idx} out of range for m={m}")
-        exps = [0] * (2 * m)
-        exps[idx] = 1
-        return cls.monomial(m, tuple(exps))
-
     @classmethod
     def x(cls, m: int, i: int) -> "Poly":
         """x_i with 1-based i."""
-        return cls.variable(m, i - 1)
+        return cls._single(m, 0, i)
 
     @classmethod
     def y(cls, m: int, i: int) -> "Poly":
         """y_i with 1-based i."""
-        return cls.variable(m, m + i - 1)
+        return cls._single(m, 1, i)
 
     # -- structure ---------------------------------------------------------
-
-    def terms(self):
-        """Terms sorted by the fixed monomial order, leading term first."""
-        for exps in sorted(self.coeffs, key=monomial_key, reverse=True):
-            yield exps, self.coeffs[exps]
 
     def derivative(self, idx: int) -> "Poly":
         """Formal partial derivative by the flat variable index."""
@@ -267,42 +297,6 @@ class Poly(Combination):
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous polynomial, bidegrees {sorted(degs)}")
         return degs.pop()
-
-    # -- rendering ---------------------------------------------------------
-
-    def var_names(self) -> list[str]:
-        return [f"x{i}" for i in range(1, self.m + 1)] + [f"y{i}" for i in range(1, self.m + 1)]
-
-    def __str__(self):
-        return render_terms(self.terms(), self.var_names())
-
-
-def render_terms(terms, names: Sequence[str]) -> str:
-    """Shared canonical text form for sparse exponent-tuple/coefficient data."""
-    parts = []
-    for exps, c in terms:
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mono = "*".join(factors)
-        a = abs(c)
-        if not mono:
-            body = frac_str(a)
-        elif a == 1:
-            body = mono
-        else:
-            body = f"{frac_str(a)}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
 
 
 # -- exact linear algebra ----------------------------------------------------

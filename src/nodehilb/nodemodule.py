@@ -36,13 +36,11 @@ above, so columns are built in ``int`` with no polynomial arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from . import weyl
-from .exact import Poly, add_into, rank
+from . import exact, weyl
 
 M = 2  # the node has two branches; everything in this module is at m = 2
 
@@ -100,7 +98,7 @@ def piece_index(n: int, d: int) -> dict:
 class NodeClass(NamedTuple):
     """A coset of U in one bidegree, held by its canonical representative."""
 
-    rep: Poly
+    rep: exact.Poly
     n: int
     d: int
 
@@ -111,7 +109,7 @@ class NodeClass(NamedTuple):
         return f"[{self.rep}] @ (n={self.n}, d={self.d})"
 
 
-def reduce_poly(p: Poly, grade: tuple[int, int] | None = None) -> NodeClass:
+def reduce_poly(p: exact.Poly, grade: tuple[int, int] | None = None) -> NodeClass:
     """Canonical coset representative of a homogeneous polynomial.
 
     The zero polynomial needs the intended bidegree via ``grade``; nonzero
@@ -128,8 +126,8 @@ def reduce_poly(p: Poly, grade: tuple[int, int] | None = None) -> NodeClass:
         raise ValueError(f"polynomial has bidegree {deg}, expected {grade}")
     coeffs: dict = {}
     for e, c in p.coeffs.items():
-        add_into(coeffs, _normal_form(e), c)
-    return NodeClass(Poly(M, coeffs), *deg)
+        exact.add_into(coeffs, _normal_form(e), c)
+    return NodeClass(exact.Poly(M, coeffs), *deg)
 
 
 def dim_piece(n: int, d: int) -> int:
@@ -168,7 +166,7 @@ def dim_submodule(n: int, d: int) -> int:
         {index[(a1 + a, a2 + b, b1, b2)]: c for (a1, a2, b1, b2), c in tail}
         for a, b, _ in gens
     ]
-    return rank(rows, len(index))
+    return exact.rank(rows, len(index))
 
 
 def betti_table(n_max: int) -> list[list[int]]:
@@ -197,7 +195,7 @@ def apply_generator(g: weyl.Generator, v: NodeClass) -> NodeClass:
     dn, dd = g.bidegree
     n2, d2 = v.n + dn, v.d + dd
     if n2 < 0 or d2 < 0:
-        return NodeClass(Poly.zero(M), max(n2, 0), max(d2, 0))
+        return NodeClass(exact.Poly.zero(M), max(n2, 0), max(d2, 0))
     acted = weyl.generator_element(g, M).act(v.rep)
     return reduce_poly(acted, (n2, d2))
 
@@ -211,8 +209,10 @@ def fundamental_class(n: int, k: int) -> NodeClass:
     """
     if not 0 <= k <= n:
         raise ValueError(f"component index {k} out of range for n={n}")
+    from fractions import Fraction  # the one division of the module
+
     c = Fraction(1, factorial(k) * factorial(n - k))
-    return reduce_poly(Poly.monomial(M, (0, 0, k, n - k), c), (n, 2 * n))
+    return reduce_poly(exact.Poly.monomial(M, (0, 0, k, n - k), c), (n, 2 * n))
 
 
 # -- operator matrices on graded pieces ---------------------------------------
@@ -285,6 +285,7 @@ def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
 
 def commutator_columns(a: weyl.Generator, b: weyl.Generator, n: int, d: int) -> list[dict]:
     """Sparse columns of [a, b] on the (n, d) piece, +a b and -b a in one pass."""
+    add_into = exact.add_into
     out: list[dict] = [{} for _ in piece_data(n, d)]
     for first, second, sign in ((b, a, 1), (a, b, -1)):
         mid_n, mid_d = n + first.bidegree[0], d + first.bidegree[1]
@@ -351,7 +352,7 @@ def certified_rank(vecs, ncols: int) -> int:
     leads = len(_leads(vecs))
     if leads == min(len(vecs), ncols):
         return leads
-    return rank([dict(v) for v in vecs], ncols)
+    return exact.rank([dict(v) for v in vecs], ncols)
 
 
 def injectivity_checks(n_max: int) -> list[PieceCheck]:
@@ -422,6 +423,7 @@ def no_extension_witness() -> dict:
     action of y1 by itself can be well defined on V' -- only the symmetric
     combination y1+y2 preserves U.
     """
+    Poly = exact.Poly
     u = Poly.x(M, 1) - Poly.x(M, 2)
     y1u = reduce_poly(Poly.y(M, 1) * u, (2, 2))
     y2u = reduce_poly(Poly.y(M, 2) * u, (2, 2))

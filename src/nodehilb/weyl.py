@@ -5,10 +5,11 @@ multiplication operators x_i, y_i and the derivations dx_i = d/dx_i,
 dy_i = d/dy_i, subject to [dx_i, x_i] = [dy_i, y_i] = 1 with all other
 pairs commuting.  Elements are stored in normal form: every word is a sum
 of monomials x^a y^b dx^g dy^d (all position operators before all
-derivations), keyed by the four exponent tuples.  ``WeylOp`` takes its
-sums, scalars, powers and equality from ``exact.Combination`` and supplies
-only the key check, the unit and the product of two normal monomials, which
-is the closed form of the rewriting rule du*u -> u*du + 1,
+derivations), keyed like a polynomial in 4m commuting exponents by one flat
+tuple a + b + g + d.  ``WeylOp`` takes its keys, sums, scalars, powers,
+equality and text form from ``exact.Combination`` and supplies only its
+variable prefixes and the product of two normal monomials, which is the
+closed form of the rewriting rule du*u -> u*du + 1,
 
     dx^g x^a = sum_j C(g, j) * a!/(a-j)! * x^(a-j) dx^(g-j),
 
@@ -43,7 +44,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import Combination, Poly, add_into, monomial_key, render_terms
+from .exact import Combination, Poly, add_into
 
 GENERATOR_BIDEGREES = {"x": (1, 0), "d": (-1, -2), "mu+": (1, 2), "mu-": (-1, 0)}
 
@@ -87,37 +88,19 @@ def generators(m: int) -> list[Generator]:
     return gens
 
 
-def _zeros(m):
-    return (0,) * m
-
-
-def _bump(t, i):
-    lst = list(t)
-    lst[i] += 1
-    return tuple(lst)
-
-
 class WeylOp(Combination):
     """Element of the Weyl algebra in normal form.
 
-    ``coeffs`` maps (a, b, g, d) -- four exponent tuples of length m, for
-    x^a y^b dx^g dy^d -- to a nonzero exact coefficient (``int`` where
-    integral, else ``Fraction``).  Sums, scalars, powers and equality are
-    those of :class:`exact.Combination`; the product of two normal
-    monomials is the closed form :func:`_mono_mul`.
+    ``coeffs`` maps the flat exponent tuple of x^a y^b dx^g dy^d -- the m
+    exponents of x, then of y, of dx and of dy -- to a nonzero exact
+    coefficient (``int`` where integral, else ``Fraction``).  Variable i
+    (0 <= i < 2m) of ``Poly`` meets its derivation in slot 2m + i.  Sums,
+    scalars, powers and equality are those of :class:`exact.Combination`;
+    the product of two normal monomials is the closed form :func:`_mono_mul`.
     """
 
     __slots__ = ()
-
-    def _key(self, key):
-        key = tuple(tuple(t) for t in key)
-        if len(key) != 4 or any(len(t) != self.m or any(e < 0 for e in t) for t in key):
-            raise ValueError(f"bad normal monomial {key} for m={self.m}")
-        return key
-
-    @classmethod
-    def _unit(cls, m: int):
-        return (_zeros(m),) * 4
+    PREFIXES = ("x", "y", "dx", "dy")
 
     def _mono_mul(self, k1, k2):
         # the module attribute is looked up on each call, so that a patched
@@ -125,14 +108,6 @@ class WeylOp(Combination):
         return _mono_mul(k1, k2, self.m)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _single(cls, m: int, slot: int, i: int) -> "WeylOp":
-        if not 1 <= i <= m:
-            raise ValueError(f"index {i} out of range for m={m}")
-        key = [_zeros(m)] * 4
-        key[slot] = _bump(_zeros(m), i - 1)
-        return cls(m, {tuple(key): 1})
 
     @classmethod
     def x(cls, m: int, i: int) -> "WeylOp":
@@ -156,36 +131,17 @@ class WeylOp(Combination):
         """Standard action on Q[x, y]: x, y multiply and dx, dy differentiate."""
         if p.m != self.m:
             raise ValueError(f"mismatched ambient variable count: {self.m} vs {p.m}")
-        m = self.m
+        m, n = self.m, 2 * self.m
         out = Poly.zero(m)
-        for (a, b, g, d), c in self.coeffs.items():
+        for k, c in self.coeffs.items():
             q = p
-            for i, e in enumerate(g):
+            for i, e in enumerate(k[n:]):
                 for _ in range(e):
                     q = q.derivative(i)
-            for i, e in enumerate(d):
-                for _ in range(e):
-                    q = q.derivative(m + i)
             if q.is_zero():
                 continue
-            out = out + Poly.monomial(m, a + b, c) * q
+            out = out + Poly.monomial(m, k[:n], c) * q
         return out
-
-    # -- rendering ---------------------------------------------------------
-
-    def __str__(self):
-        m = self.m
-        names = (
-            [f"x{i}" for i in range(1, m + 1)]
-            + [f"y{i}" for i in range(1, m + 1)]
-            + [f"dx{i}" for i in range(1, m + 1)]
-            + [f"dy{i}" for i in range(1, m + 1)]
-        )
-        flat = {}
-        for (a, b, g, d), c in self.coeffs.items():
-            flat[a + b + g + d] = c
-        terms = [(k, flat[k]) for k in sorted(flat, key=monomial_key, reverse=True)]
-        return render_terms(terms, names)
 
 
 def _falling(a: int, j: int) -> int:
@@ -196,26 +152,20 @@ def _falling(a: int, j: int) -> int:
 
 
 def _mono_mul(k1, k2, m):
-    """Normal-form product of two normal monomials, as (key, coeff) pairs."""
-    a1, b1, g1, d1 = k1
-    a2, b2, g2, d2 = k2
-    ranges_x = [range(min(g, a) + 1) for g, a in zip(g1, a2)]
-    ranges_y = [range(min(d, b) + 1) for d, b in zip(d1, b2)]
-    for jx in itertools.product(*ranges_x):
-        cx = 1
-        for g, a, j in zip(g1, a2, jx):
-            cx *= math.comb(g, j) * _falling(a, j)
-        for jy in itertools.product(*ranges_y):
-            c = cx
-            for d, b, j in zip(d1, b2, jy):
-                c *= math.comb(d, j) * _falling(b, j)
-            key = (
-                tuple(p + q - j for p, q, j in zip(a1, a2, jx)),
-                tuple(p + q - j for p, q, j in zip(b1, b2, jy)),
-                tuple(p + q - j for p, q, j in zip(g1, g2, jx)),
-                tuple(p + q - j for p, q, j in zip(d1, d2, jy)),
-            )
-            yield key, c
+    """Normal-form product of two normal monomials, as (key, coeff) pairs.
+
+    Derivation exponent g = k1[2m + i] meets position exponent a = k2[i];
+    each choice of j <= min(g, a) for all 2m pairs lowers both by j, with
+    coefficient C(g, j) * a!/(a-j)!.
+    """
+    n = 2 * m
+    pairs = tuple(zip(k1[n:], k2[:n]))
+    base = [p + q for p, q in zip(k1, k2)]
+    for js in itertools.product(*(range(min(g, a) + 1) for g, a in pairs)):
+        c = 1
+        for (g, a), j in zip(pairs, js):
+            c *= math.comb(g, j) * _falling(a, j)
+        yield tuple(b - j for b, j in zip(base, js + js)), c
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -318,9 +268,9 @@ class SubalgebraWord(NamedTuple):
         mup = generator_element(Generator("mu+"), m)
         mum = generator_element(Generator("mu-"), m)
         # multiply in normal order: x^alpha * mu+^s * dy^delta * mu-^r
-        out = WeylOp(m, {(self.alpha, _zeros(m), _zeros(m), _zeros(m)): 1})
-        out = out * mup**self.s
-        out = out * WeylOp(m, {(_zeros(m), _zeros(m), _zeros(m), self.delta): 1})
+        zeros = (0,) * (3 * m)
+        out = WeylOp.monomial(m, (*self.alpha, *zeros)) * mup**self.s
+        out = out * WeylOp.monomial(m, (*zeros, *self.delta))
         return out * mum**self.r
 
     def __str__(self):
@@ -343,19 +293,20 @@ def subalgebra_membership(w: WeylOp) -> dict[SubalgebraWord, int | Fraction] | N
 
     Distinct words have disjoint normal-form supports, so the only words
     that can appear in an expansion of w are those whose support meets the
-    support of w; each such word is read off a normal monomial (a,b,g,d) of
-    w as (a, |b|, d, |g|).  A word has coefficient 1 at its normal monomial
+    support of w; each such word is read off a normal monomial a + b + g + d
+    of w as (a, |b|, d, |g|).  A word has coefficient 1 at its normal monomial
     x^alpha y1^s dx1^r dy^delta, which no other word touches, so its
     coefficient in any expansion is the coefficient of w there.  The
     expansion is accepted only if it rebuilds w exactly; otherwise no
     expansion exists at any degree.
     """
     m = w.m
-    rest = _zeros(m - 1)
+    rest = (0,) * (m - 1)
     expansion = {}
     rebuilt: dict = {}
-    for wd in {SubalgebraWord(a, sum(b), d, sum(g)) for (a, b, g, d) in w.coeffs}:
-        c = w.coeffs.get((wd.alpha, (wd.s,) + rest, (wd.r,) + rest, wd.delta), 0)
+    y, dx, dy = m, 2 * m, 3 * m  # where the y, dx and dy exponents start
+    for wd in {SubalgebraWord(k[:y], sum(k[y:dx]), k[dy:], sum(k[dx:dy])) for k in w.coeffs}:
+        c = w.coeffs.get((*wd.alpha, wd.s, *rest, wd.r, *rest, *wd.delta), 0)
         if c:
             expansion[wd] = c
             add_into(rebuilt, wd.to_weyl(m).coeffs.items(), c)

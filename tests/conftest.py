@@ -14,10 +14,10 @@ sys.dont_write_bytecode = True
 
 @pytest.fixture
 def ranked(monkeypatch):
-    """Every matrix that reaches ``nodemodule.rank`` during the test, in call order."""
-    from nodehilb import nodemodule
+    """Every matrix that reaches ``exact.rank`` during the test, in call order."""
+    from nodehilb import exact
 
     calls = []
-    real = nodemodule.rank
-    monkeypatch.setattr(nodemodule, "rank", lambda mat, ncols=None: calls.append(mat) or real(mat, ncols))
+    real = exact.rank
+    monkeypatch.setattr(exact, "rank", lambda mat, ncols=None: calls.append(mat) or real(mat, ncols))
     return calls

@@ -485,7 +485,7 @@ class TestStartup:
             ("components --n 2 --m 3", "geometry -"),
             ("series --which closed --order 4", "series -"),
             ("verify relations --m 2", "exact weyl fractions"),
-            ("betti --n-max 3", "exact nodemodule series fractions"),
+            ("betti --n-max 3", "nodemodule series -"),
             ("verify series --order 4", "exact nodemodule series fractions"),
         ],
     )

@@ -229,7 +229,7 @@ class TestRendering:
 
 class TestCoefficientTypes:
     def test_int_kept_and_inexact_input_made_fraction(self):
-        key = ((1, 0), (0, 0), (0, 0), (0, 0))
+        key = (1, 0, 0, 0, 0, 0, 0, 0)
         x1 = (1, 0, 0, 0)
         for c, kind in ((3, int), (Fraction(1, 3), Fraction), (0.5, Fraction), ("2/3", Fraction)):
             stored = [
@@ -245,9 +245,12 @@ class TestCoefficientTypes:
         [
             lambda: Poly(2, {(1, 0, 0): 1}),  # three exponents at m = 2
             lambda: Poly(2, {(1, 0, 0, -1): 1}),
-            lambda: WeylOp(2, {((1, 0), (0, 0), (0, 0)): 1}),  # three exponent tuples
-            lambda: WeylOp(2, {((1,), (0, 0), (0, 0), (0, 0)): 1}),
-            lambda: WeylOp(2, {((0, 0), (0, 0), (0, -1), (0, 0)): 1}),
+            lambda: Poly.x(2, 3),  # 1-based index past m
+            lambda: Poly.y(2, 0),
+            lambda: WeylOp(2, {(1, 0, 0, 0, 0, 0, 0): 1}),  # seven exponents at m = 2
+            lambda: WeylOp(2, {(0, 0, 0, 0, 0, -1, 0, 0): 1}),
+            lambda: WeylOp(2, {((1, 0), (0, 0), (0, 0), (0, 0)): 1}),  # the nested form
+            lambda: WeylOp.dy(2, 3),
             lambda: WeylOp(0),  # no ambient components
         ],
     )
@@ -256,11 +259,13 @@ class TestCoefficientTypes:
             build()
 
 
-# The arithmetic every sparse combination shares, written once on
-# exact.Combination; the subclasses add only their keys, units and products.
+# The key format and the arithmetic every sparse combination shares, written
+# once on exact.Combination; the subclasses add only their prefixes and
+# products.
 SHARED_ARITHMETIC = {
     "__init__", "_plus", "__add__", "__sub__", "__neg__", "__mul__", "__pow__",
     "__eq__", "__hash__", "is_zero", "zero", "constant", "one",
+    "_key", "_unit", "variable", "_single", "monomial", "var_names", "__str__",
 }
 
 

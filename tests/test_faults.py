@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from nodehilb import geometry, nodemodule, series, weyl
+from nodehilb import exact, geometry, nodemodule, series, weyl
 from nodehilb.cli import main
 from nodehilb.exact import Poly
 from nodehilb.weyl import Generator
@@ -328,13 +328,13 @@ def test_node_suite_catches_a_lost_second_branch(capsys, monkeypatch):
 def test_node_suite_catches_a_rank_that_stops_one_column_early(capsys, monkeypatch):
     # the early stop of exact.rank fires one pivot too soon, so a piece whose
     # translates span it all counts one short of its dimension; verify series
-    # also ranks through nodemodule.rank (dim_submodule), but U never has full
+    # also ranks through exact.rank (dim_submodule), but U never has full
     # column rank in a piece -- every piece of the quotient is nonzero -- so
     # the stop is never reached there.  The certificates would decide every
     # piece without rank, so they decline here and every matrix is ranked
     monkeypatch.setattr(nodemodule, "_leads", lambda vecs: set())
-    real = nodemodule.rank
-    monkeypatch.setattr(nodemodule, "rank", lambda mat, ncols=None: real(mat, ncols - 1))
+    real = exact.rank
+    monkeypatch.setattr(exact, "rank", lambda mat, ncols=None: real(mat, ncols - 1))
     code, report = verify(capsys, "node", "--n-max", "6")
     assert code == 1
     assert only_failing_check(report) == "generation-by-fundamental-classes"
@@ -366,10 +366,9 @@ def test_relations_suite_catches_a_product_without_its_rewriting_terms(capsys, m
     real = weyl._mono_mul
 
     def commuting(k1, k2, m):
-        a1, b1 = k1[0], k1[1]
-        a2, b2 = k2[0], k2[1]
+        n = 2 * m  # the position exponents come first
         for key, c in real(k1, k2, m):
-            if sum(key[0]) == sum(a1) + sum(a2) and sum(key[1]) == sum(b1) + sum(b2):
+            if sum(key[:n]) == sum(k1[:n]) + sum(k2[:n]):
                 yield key, c
 
     monkeypatch.setattr(weyl, "_mono_mul", commuting)
@@ -380,6 +379,33 @@ def test_relations_suite_catches_a_product_without_its_rewriting_terms(capsys, m
         ("[d_i,mu+]=1", 2, "0"),
         ("[mu-,x_i]=1", 1, "0"),
         ("[mu-,x_i]=1", 2, "0"),
+    }
+
+
+def test_relations_suite_catches_a_product_that_pairs_the_wrong_slots(capsys, monkeypatch):
+    # dx_i meets y_i and dy_i meets x_i: the correct product with the x and y
+    # blocks of every key swapped on the way in and out
+    real = weyl._mono_mul
+
+    def swap(key, m):
+        return key[m : 2 * m] + key[:m] + key[2 * m :]
+
+    def crossed(k1, k2, m):
+        for key, c in real(swap(k1, m), swap(k2, m), m):
+            yield swap(key, m), c
+
+    monkeypatch.setattr(weyl, "_mono_mul", crossed)
+    code, report = verify(capsys, "relations", "--m", "2")
+    assert code == 1 and report["status"] == "fail"
+    # d_i = dy_i now meets x_i rather than mu+, and mu- = dx1 + dx2 meets mu+
+    assert {(f["family"], f["i"], f["j"], f["got"]) for f in report["failures"]} == {
+        ("[d_i,mu+]=1", 1, None, "0"),
+        ("[d_i,mu+]=1", 2, None, "0"),
+        ("[mu-,x_i]=1", 1, None, "0"),
+        ("[mu-,x_i]=1", 2, None, "0"),
+        ("[d_i,x_j]=0", 1, 1, "1"),
+        ("[d_i,x_j]=0", 2, 2, "1"),
+        ("[mu+,mu-]=0", None, None, "-2"),
     }
 
 
