@@ -8,11 +8,20 @@ exactly when every executed check passed.
 Verification bounds are desk-scale by default; the RUN_SCALE environment
 variable (a positive integer; anything else exits 2) multiplies them for
 longer runs.
+
+``python -m nodehilb.cli`` and the ``nodehilb`` script both run ``entry()``,
+which runs ``main()`` with the cyclic garbage collector off and freezes the
+heap before the process exits.  The tool's data are tuples and dicts of
+ints, which form no reference cycles, so the collector would only walk the
+growing caches while a command runs and the whole heap again at shutdown,
+freeing nothing.  ``main(argv)`` itself leaves the collector alone, so
+in-process callers keep normal collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -421,5 +430,18 @@ def main(argv=None) -> int:
     return args.run(args)
 
 
+def entry() -> int:
+    """Run ``main()`` as a whole process: the collector off, the heap frozen at the end.
+
+    Freezing moves every tracked object to the permanent generation, so the
+    collections at interpreter shutdown do not traverse it.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

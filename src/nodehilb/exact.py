@@ -116,8 +116,11 @@ class Combination:
         self.coeffs = clean
 
     def _key(self, exps) -> Monomial:
+        """``exps`` as a key: ``len(PREFIXES) * m`` non-negative ``int``s (``bool`` is not)."""
         exps = tuple(exps)
-        if len(exps) != len(self.PREFIXES) * self.m or any(e < 0 for e in exps):
+        if len(exps) != len(self.PREFIXES) * self.m or any(
+            type(e) is not int or e < 0 for e in exps
+        ):
             raise ValueError(f"bad exponent tuple {exps} for m={self.m}")
         return exps
 

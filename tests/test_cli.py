@@ -1,5 +1,7 @@
 """Command line: golden outputs, formats, determinism, exit codes."""
 
+import ast
+import gc
 import hashlib
 import json
 import subprocess
@@ -497,6 +499,68 @@ class TestStartup:
     def test_the_node_commands_never_execute_geometry(self, argv):
         code, *ran = run_child(EXECUTED, *argv.split()).stderr.decode().split()
         assert code == "0" and "nodemodule" in ran and "geometry" not in ran
+
+
+# Runs ``python -m nodehilb.cli ARGS...`` and, at exit, reports whether the
+# collector is on and whether any object was frozen.
+GC_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("nodehilb.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def cyclic_garbage(argv) -> int:
+    """What ``gc.collect()`` frees after ``main(argv)`` runs with the collector off."""
+    for cached in (nodemodule.piece_data, nodemodule.piece_index, nodemodule.operator_columns):
+        cached.cache_clear()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        main(argv)
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestProcessEntry:
+    def test_a_process_runs_with_the_collector_off_and_the_heap_frozen(self):
+        proc = run_child(GC_AT_EXIT, "betti", "--n-max", "2")
+        assert proc.stdout == b"1\n1 2\n1 3 3\n"
+        assert proc.stderr == b"False True\n"
+
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        code, out, _ = run(capsys, "betti", "--n-max", "2")
+        assert code == 0 and out == "1\n1 2\n1 3 3\n"
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_the_script_runs_what_the_main_block_runs(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(cli.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["nodehilb"]
+        (block,) = [
+            node
+            for node in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        (stmt,) = block.body  # raise SystemExit(f())
+        assert ast.unparse(stmt.exc.func) == "SystemExit"
+        assert target == f"nodehilb.cli:{stmt.exc.args[0].func.id}" == "nodehilb.cli:entry"
+
+    # GC-off rests on this: a run leaves the same cyclic garbage (argparse's
+    # parser graph) whatever its bound, so no piece or cache entry makes cycles
+    @pytest.mark.parametrize(
+        "suite, flag, small, large",
+        [("node", "--n-max", 2, 8), ("series", "--order", 4, 16), ("kernel", "--n-max", 2, 6)],
+    )
+    def test_cyclic_garbage_does_not_grow_with_the_bound(self, capsys, suite, flag, small, large):
+        counts = [cyclic_garbage(["verify", suite, flag, str(bound)]) for bound in (small, large)]
+        capsys.readouterr()
+        assert counts[0] == counts[1]
 
 
 # the public names of the package in the order of __all__, with the module

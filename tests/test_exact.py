@@ -252,6 +252,11 @@ class TestCoefficientTypes:
             lambda: WeylOp(2, {((1, 0), (0, 0), (0, 0), (0, 0)): 1}),  # the nested form
             lambda: WeylOp.dy(2, 3),
             lambda: WeylOp(0),  # no ambient components
+            lambda: WeylOp(1, {((1,), (0,), (0,), (0,)): 1}),  # nested, of the right length
+            lambda: Poly(1, {((1,), (0,)): 1}),
+            lambda: Poly(1, {(1.5, 0): 1}),  # exponents are ints
+            lambda: Poly(1, {("1", 0): 1}),
+            lambda: Poly(1, {(True, 0): 1}),  # bool is not an exponent
         ],
     )
     def test_bad_key_rejected(self, build):

@@ -461,6 +461,19 @@ def test_series_suite_catches_a_quotient_series_wrong_past_the_enumeration(capsy
     assert detail[0]["first_difference"] == [16, 0]
 
 
+def test_series_suite_enumerates_up_to_its_bound(capsys, monkeypatch):
+    # one class too many at (ENUMERATION_BOUND, 2): only the last row of the
+    # enumeration sees it, so an enumeration stopping short would pass
+    bound = series.ENUMERATION_BOUND
+    real = nodemodule.dim_piece
+    monkeypatch.setattr(nodemodule, "dim_piece", lambda n, d: real(n, d) + ((n, d) == (bound, 2)))
+    code, report = verify(capsys, "series", "--order", "64")
+    assert code == 1 and only_failing_check(report) == "module-series-identity"
+    detail = series_check(report, "module-series-identity")["detail"]
+    assert detail[1]["check"] == f"series-match-enumerated-dimensions-to-n={bound}"
+    assert detail[1]["mismatches"] == [["quotient", bound, 1, str(real(bound, 2)), real(bound, 2) + 1]]
+
+
 def test_relations_suite_catches_a_dy_built_as_dx(capsys, monkeypatch):
     # d_i = dy_i built as dx_i: [d_i, x_i] is 1 instead of 0, and [d_i, mu+]
     # is 0 instead of 1, since mu+ = y1 + y2 no longer meets a dy
