@@ -54,9 +54,7 @@ def _limit(name: str) -> int:
 
 
 def _emit(text: str):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _emit_report(fmt: str, obj: dict, lines: list[str]) -> None:
@@ -435,10 +433,20 @@ def entry() -> int:
 
     Freezing moves every tracked object to the permanent generation, so the
     collections at interpreter shutdown do not traverse it.
+
+    A reader that closes the pipe early, as ``| head`` does, ends the process
+    with status 141 (128 + SIGPIPE, what a shell reports for a writer killed
+    by the signal) and no traceback.  stdout is then pointed at
+    ``os.devnull``, so the interpreter's final flush has nowhere to fail.
     """
     gc.disable()
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         gc.freeze()
 

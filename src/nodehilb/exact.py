@@ -3,7 +3,9 @@
 Coefficients are Python ``int`` wherever the values are integral and
 :class:`fractions.Fraction` (reduced, positive denominator) only where a
 division happens: in the read-out of the linear algebra below or in a caller
-that divides.  Nothing is ever rounded.
+that divides.  Nothing is ever rounded.  ``fractions`` (which loads
+``decimal``) is imported inside the functions that build a ``Fraction``, and
+only once they must, so a command that never divides never loads it.
 
 Polynomials and Weyl operators (``weyl.WeylOp``) are both sparse exact
 linear combinations of monomials in commuting exponents, and share one
@@ -34,16 +36,22 @@ only the read-out of the reduced form divides by the pivots; rank skips it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Monomial = tuple  # flat exponent tuple: m entries per prefix of its class
 
 
 def frac_str(x) -> str:
     """Render an exact number as ``p`` or ``p/q`` (never a float)."""
-    return str(x) if type(x) is int else str(Fraction(x))
+    if type(x) is int:
+        return str(x)
+    from fractions import Fraction
+
+    return str(Fraction(x))
 
 
 def monomial_key(exps: Monomial):
@@ -61,9 +69,11 @@ def as_exact(c):
     Anything else, such as a float or a string like ``"2/3"``, becomes a
     ``Fraction``, so a float is never stored.
     """
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, int):
         return c
-    return Fraction(c)
+    from fractions import Fraction
+
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def add_into(acc: dict, items: Iterable, scale=1) -> dict:
@@ -406,6 +416,8 @@ def rref(mat) -> tuple[list, list[int]]:
     come back in the same form, one per input row, zero rows last: dense
     rows as lists of Fraction, sparse rows as dicts of nonzero Fractions.
     """
+    from fractions import Fraction
+
     rows, ncols, dense = _normalise(mat, None)
     reduced = _reduce(_echelon(rows, ncols))
     zero_rows = len(rows) - len(reduced)
@@ -438,6 +450,8 @@ def kernel_basis(mat, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
     if len(pivots) == ncols:
         return []
     reduced = _reduce(pivots)
+    from fractions import Fraction
+
     zero = Fraction(0)
     basis = []
     for fc in range(ncols):

@@ -264,6 +264,10 @@ def _read_off(g: weyl.Generator, src: tuple, row: dict) -> tuple:
     )
 
 
+# every distinct column built so far, keyed by itself
+_COLUMNS: dict[tuple, tuple] = {}
+
+
 @lru_cache(maxsize=None)
 def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     """Sparse matrix of a generator from piece (n, d), one column per basis class.
@@ -273,6 +277,13 @@ def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     columns.  ``_read_off`` reads every column off the exponents of its basis
     monomial in one pass, in ``int``; ``apply_generator`` is the independent
     route through the Weyl algebra.
+
+    Equal columns are one shared object: most columns repeat across
+    generators and pieces (3,803 distinct among about 24,000 at n_max 15),
+    so each built column is replaced by the first equal one in ``_COLUMNS``.
+    That memo is keyed by the column's content, so it can only hand back an
+    equal column and never goes stale: it needs no clearing after
+    ``operator_columns.cache_clear()``, nor when ``_read_off`` is patched.
     """
     _check_index(g)
     src = piece_data(n, d)
@@ -280,7 +291,8 @@ def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     n2, d2 = n + dn, d + dd
     if not _piece_in_range(n2, d2):
         return tuple(() for _ in src)
-    return _read_off(g, src, piece_index(n2, d2))
+    share = _COLUMNS.setdefault
+    return tuple([share(c, c) for c in _read_off(g, src, piece_index(n2, d2))])
 
 
 def commutator_columns(a: weyl.Generator, b: weyl.Generator, n: int, d: int) -> list[dict]:

@@ -41,10 +41,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import Combination, Poly, add_into
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GENERATOR_BIDEGREES = {"x": (1, 0), "d": (-1, -2), "mu+": (1, 2), "mu-": (-1, 0)}
 
@@ -155,17 +157,21 @@ def _mono_mul(k1, k2, m):
     """Normal-form product of two normal monomials, as (key, coeff) pairs.
 
     Derivation exponent g = k1[2m + i] meets position exponent a = k2[i];
-    each choice of j <= min(g, a) for all 2m pairs lowers both by j, with
-    coefficient C(g, j) * a!/(a-j)!.
+    each choice of j <= min(g, a) for the 2m pairs lowers both by j, with
+    coefficient C(g, j) * a!/(a-j)!.  Only the slots where g and a are both
+    nonzero can take j >= 1, so only those are enumerated.
     """
     n = 2 * m
-    pairs = tuple(zip(k1[n:], k2[:n]))
     base = [p + q for p, q in zip(k1, k2)]
-    for js in itertools.product(*(range(min(g, a) + 1) for g, a in pairs)):
+    meet = [(i, g, a) for i, (g, a) in enumerate(zip(k1[n:], k2[:n])) if g and a]
+    for js in itertools.product(*(range(min(g, a) + 1) for _, g, a in meet)):
+        key = base.copy()
         c = 1
-        for (g, a), j in zip(pairs, js):
+        for (i, g, a), j in zip(meet, js):
+            key[i] -= j
+            key[n + i] -= j
             c *= math.comb(g, j) * _falling(a, j)
-        yield tuple(b - j for b, j in zip(base, js + js)), c
+        yield tuple(key), c
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:

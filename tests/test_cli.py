@@ -443,14 +443,15 @@ class TestDeterminism:
         assert outs.pop() == out.encode()
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports the package this process imported."""
+    package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
+    return {"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_child(code: str, *argv: str, flags=()) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports the package this process imported."""
-    package_root = str(Path(nodehilb.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code, *argv],
-        capture_output=True,
-        env={"PATH": "/usr/bin:/usr/local/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
-    )
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True, env=child_env())
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     return proc
 
@@ -486,9 +487,11 @@ class TestStartup:
             ("paving --n 2", "geometry -"),
             ("components --n 2 --m 3", "geometry -"),
             ("series --which closed --order 4", "series -"),
-            ("verify relations --m 2", "exact weyl fractions"),
+            ("verify relations --m 2", "exact weyl -"),
             ("betti --n-max 3", "nodemodule series -"),
-            ("verify series --order 4", "exact nodemodule series fractions"),
+            ("verify series --order 4", "exact nodemodule series -"),
+            ("verify node --n-max 2", "exact nodemodule series weyl -"),
+            ("verify all", "exact geometry nodemodule series weyl -"),
         ],
     )
     def test_a_command_executes_only_the_modules_it_runs(self, argv, executed):
@@ -550,6 +553,22 @@ class TestProcessEntry:
         (stmt,) = block.body  # raise SystemExit(f())
         assert ast.unparse(stmt.exc.func) == "SystemExit"
         assert target == f"nodehilb.cli:{stmt.exc.args[0].func.id}" == "nodehilb.cli:entry"
+
+    def test_a_reader_that_closes_the_pipe_early_gets_status_141(self):
+        # about 1 MB of json, far more than a pipe holds, so the child is
+        # still writing when the reader closes its end; child_env() sets no
+        # PYTHONUNBUFFERED, under which CPython drops a partial write unreported
+        argv = ["paving", "--n", "40", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nodehilb.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(), stderr) == (141, b"")
 
     # GC-off rests on this: a run leaves the same cyclic garbage (argparse's
     # parser graph) whatever its bound, so no piece or cache entry makes cycles

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nodehilb
-from nodehilb.exact import Poly, frac_str, monomial_bidegree, rref
+from nodehilb.exact import Poly, as_exact, frac_str, monomial_bidegree, rref
 from nodehilb.weyl import WeylOp
 from oracles import RatMatrix, solve_columns, span_solve
 
@@ -240,6 +240,10 @@ class TestCoefficientTypes:
             ]
             assert all(type(v) is kind and v == Fraction(c) for v in stored), (c, stored)
 
+    def test_int_and_fraction_pass_through_as_they_are(self):
+        half = Fraction(1, 2)
+        assert as_exact(True) is True and as_exact(half) is half
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -312,26 +316,39 @@ FRACTION_SITES = {
 }
 
 
-def fraction_calls(path: Path) -> set:
-    """(file, innermost enclosing function) of every ``Fraction(...)`` call."""
-    found = set()
+def fraction_uses(path: Path) -> tuple[set, set]:
+    """Where ``path`` calls ``Fraction(...)`` and where it imports ``fractions``.
+
+    Each is a set of (file, innermost enclosing function); an import in the
+    body of ``if TYPE_CHECKING:`` is placed in "TYPE_CHECKING" instead.
+    """
+    calls, imports = set(), set()
 
     def walk(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            func = "TYPE_CHECKING"
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if name == "Fraction":
-                found.add((path.name, func))
+                calls.add((path.name, func))
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions" or (
+            isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        ):
+            imports.add((path.name, func))
         for child in ast.iter_child_nodes(node):
             walk(child, func)
 
     walk(ast.parse(path.read_text()), None)
-    return found
+    return calls, imports
 
 
 def test_fraction_is_built_only_at_division_sites():
     package = Path(nodehilb.__file__).parent
-    found = set().union(*(fraction_calls(p) for p in sorted(package.glob("*.py"))))
-    assert found == FRACTION_SITES
+    uses = [fraction_uses(p) for p in sorted(package.glob("*.py"))]
+    assert set().union(*(calls for calls, _ in uses)) == FRACTION_SITES
+    # fractions (and the decimal it loads) is imported only where a Fraction is built
+    imports = set().union(*(found for _, found in uses))
+    assert {(file, func) for file, func in imports if func != "TYPE_CHECKING"} == FRACTION_SITES

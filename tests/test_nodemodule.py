@@ -410,6 +410,17 @@ class TestOperatorIdentities:
             assert len(calls) == 15 * (n + 1) * (n + 2) // 2
             assert len({(frozenset(call[:2]), call[2:]) for call in calls}) == len(calls)
 
+    def test_equal_operator_columns_are_one_object(self):
+        relation_matrix_checks(8)
+        cols = [
+            col
+            for g in generators(2)
+            for n in range(10)
+            for d in range(0, 2 * n + 1, 2)
+            for col in operator_columns(g, n, d)
+        ]
+        assert len({id(col) for col in cols}) == len(set(cols)) < len(cols)
+
     def test_injectivity_to_six(self):
         checks = injectivity_checks(6)
         assert all(c.ok for c in checks)
