@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
@@ -438,7 +439,14 @@ def entry() -> int:
     with status 141 (128 + SIGPIPE, what a shell reports for a writer killed
     by the signal) and no traceback.  stdout is then pointed at
     ``os.devnull``, so the interpreter's final flush has nowhere to fail.
+    Under ``python -u`` or ``PYTHONUNBUFFERED`` stdout's binary layer is a
+    raw ``FileIO``, and the text layer drops the unwritten rest of a partial
+    write unreported, so stdout is buffered again as it is without them: a
+    ``BufferedWriter`` retries partial writes and raises ``BrokenPipeError``.
     """
+    out = sys.stdout
+    if isinstance(out.buffer, io.FileIO):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors)
     gc.disable()
     try:
         code = main()

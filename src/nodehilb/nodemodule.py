@@ -222,9 +222,23 @@ def _piece_in_range(n: int, d: int) -> bool:
     return n >= 0 and 0 <= d <= 2 * n
 
 
+class _Shared(dict):
+    """A memo keyed by content: ``memo[k]`` is the first key equal to k it was given."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
+# every distinct (row, coeff) term and every distinct column built so far;
+# in one table the two would cross a resize at n_max 15 and double it
+_TERMS = _Shared()
+_COLUMNS = _Shared()
+
+
 def _reduced(f: tuple, row: dict) -> tuple:
     """The column of a pivot image f, through its normal form, in row order."""
-    return tuple((row[h], c) for h, c in _normal_form(f))
+    return tuple(_TERMS[row[h], c] for h, c in _normal_form(f))
 
 
 def _read_off(g: weyl.Generator, src: tuple, row: dict) -> tuple:
@@ -237,35 +251,31 @@ def _read_off(g: weyl.Generator, src: tuple, row: dict) -> tuple:
     """
     if g.kind == "x" and g.index == 1:
         return tuple(
-            ((row[(a1 + 1, a2, b1, b2)], 1),) if b2 else _reduced((1, a2, b1, 0), row)
+            (_TERMS[row[(a1 + 1, a2, b1, b2)], 1],) if b2 else _reduced((1, a2, b1, 0), row)
             for a1, a2, b1, b2 in src
         )
     if g.kind == "x":
-        return tuple(((row[(a1, a2 + 1, b1, b2)], 1),) for a1, a2, b1, b2 in src)
+        return tuple((_TERMS[row[(a1, a2 + 1, b1, b2)], 1],) for a1, a2, b1, b2 in src)
     if g.kind == "d" and g.index == 1:
-        return tuple(((row[(a1, a2, b1 - 1, b2)], b1),) if b1 else () for a1, a2, b1, b2 in src)
+        return tuple((_TERMS[row[(a1, a2, b1 - 1, b2)], b1],) if b1 else () for a1, a2, b1, b2 in src)
     if g.kind == "d":
         return tuple(
             () if not b2
             else _reduced((a1, a2, b1, 0), row) if b2 == 1 and a1
-            else ((row[(a1, a2, b1, b2 - 1)], b2),)
+            else (_TERMS[row[(a1, a2, b1, b2 - 1)], b2],)
             for a1, a2, b1, b2 in src
         )
     if g.kind == "mu+":
         return tuple(
-            ((row[(a1, a2, b1 + 1, b2)], 1), (row[(a1, a2, b1, b2 + 1)], 1))
+            (_TERMS[row[(a1, a2, b1 + 1, b2)], 1], _TERMS[row[(a1, a2, b1, b2 + 1)], 1])
             for a1, a2, b1, b2 in src
         )
     # mu-: the a2 term keeps the larger a1, so it takes the smaller row
     return tuple(
-        (((row[(a1, a2 - 1, b1, b2)], a2),) if a2 else ())
-        + (((row[(a1 - 1, a2, b1, b2)], a1),) if a1 else ())
+        ((_TERMS[row[(a1, a2 - 1, b1, b2)], a2],) if a2 else ())
+        + ((_TERMS[row[(a1 - 1, a2, b1, b2)], a1],) if a1 else ())
         for a1, a2, b1, b2 in src
     )
-
-
-# every distinct column built so far, keyed by itself
-_COLUMNS: dict[tuple, tuple] = {}
 
 
 @lru_cache(maxsize=None)
@@ -278,12 +288,14 @@ def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     monomial in one pass, in ``int``; ``apply_generator`` is the independent
     route through the Weyl algebra.
 
-    Equal columns are one shared object: most columns repeat across
-    generators and pieces (3,803 distinct among about 24,000 at n_max 15),
-    so each built column is replaced by the first equal one in ``_COLUMNS``.
-    That memo is keyed by the column's content, so it can only hand back an
-    equal column and never goes stale: it needs no clearing after
-    ``operator_columns.cache_clear()``, nor when ``_read_off`` is patched.
+    Equal columns and equal terms are each one shared object: most repeat
+    across generators and pieces (at n_max 15, 3,803 distinct columns among
+    about 24,000, and their 11,535 (row, coeff) terms only 1,940 distinct),
+    so each term ``_read_off`` builds and each column it returns is replaced
+    by the first equal one in ``_TERMS`` or ``_COLUMNS``.  Those memos are
+    keyed by content, so they can only hand back an equal object and never
+    go stale: they need no clearing after ``operator_columns.cache_clear()``,
+    nor when ``_read_off`` is patched.
     """
     _check_index(g)
     src = piece_data(n, d)
@@ -291,8 +303,7 @@ def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     n2, d2 = n + dn, d + dd
     if not _piece_in_range(n2, d2):
         return tuple(() for _ in src)
-    share = _COLUMNS.setdefault
-    return tuple([share(c, c) for c in _read_off(g, src, piece_index(n2, d2))])
+    return tuple([_COLUMNS[c] for c in _read_off(g, src, piece_index(n2, d2))])
 
 
 def commutator_columns(a: weyl.Generator, b: weyl.Generator, n: int, d: int) -> list[dict]:

@@ -554,16 +554,16 @@ class TestProcessEntry:
         assert ast.unparse(stmt.exc.func) == "SystemExit"
         assert target == f"nodehilb.cli:{stmt.exc.args[0].func.id}" == "nodehilb.cli:entry"
 
-    def test_a_reader_that_closes_the_pipe_early_gets_status_141(self):
+    @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_closes_the_pipe_early_gets_status_141(self, unbuffered):
         # about 1 MB of json, far more than a pipe holds, so the child is
-        # still writing when the reader closes its end; child_env() sets no
-        # PYTHONUNBUFFERED, under which CPython drops a partial write unreported
+        # still writing when the reader closes its end
         argv = ["paving", "--n", "40", "--format", "json"]
         proc = subprocess.Popen(
             [sys.executable, "-m", "nodehilb.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=child_env(),
+            env={**child_env(), **unbuffered},
         )
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()

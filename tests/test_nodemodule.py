@@ -420,6 +420,9 @@ class TestOperatorIdentities:
             for col in operator_columns(g, n, d)
         ]
         assert len({id(col) for col in cols}) == len(set(cols)) < len(cols)
+        # and so are equal (row, coeff) terms across all of them
+        terms = [term for col in cols for term in col]
+        assert len({id(term) for term in terms}) == len(set(terms)) < len(terms)
 
     def test_injectivity_to_six(self):
         checks = injectivity_checks(6)
