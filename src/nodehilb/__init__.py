@@ -20,46 +20,11 @@ The five library modules load on first use.  Importing the package registers
 each of them in ``sys.modules`` through ``importlib.util.LazyLoader``, and a
 module's code runs when one of its attributes is first read.  Each command
 runs in a fresh interpreter, usually without bytecode caches, so compiling a
-module it never calls would be most of a short command's start-up.  The public
-names below resolve through the module ``__getattr__`` (PEP 562), which loads
-their owner.
+module it never calls would be most of a short command's start-up.
 """
 
 import importlib.util
 import sys
-
-# owner module -> the public names it defines; __all__ follows this order
-_OWNERS = {
-    "exact": ("Poly",),
-    "geometry": (
-        "CohElem",
-        "coh_basis",
-        "component_count",
-        "kernel_intersection",
-        "paving_census",
-        "pullback_x1",
-        "pullback_x2",
-    ),
-    "nodemodule": (
-        "NodeClass",
-        "apply_generator",
-        "betti_table",
-        "dim_piece",
-        "fundamental_class",
-        "reduce_poly",
-    ),
-    "series": ("closed_form_pv", "mv_pv", "paving_pv", "series_equal"),
-    "weyl": (
-        "Generator",
-        "WeylOp",
-        "commutator",
-        "generator_element",
-        "subalgebra_membership",
-        "verify_relations",
-    ),
-}
-_OWNER_OF = {name: owner for owner, names in _OWNERS.items() for name in names}
-__all__ = list(_OWNER_OF)
 
 __version__ = "0.1.0"
 
@@ -74,17 +39,7 @@ def _register_lazily(name: str) -> None:
     spec.loader.exec_module(module)
 
 
-for _name in _OWNERS:
+for _name in ("exact", "geometry", "nodemodule", "series", "weyl"):
     _register_lazily(_name)
 del _name
 
-
-def __getattr__(name: str):
-    owner = _OWNER_OF.get(name)
-    if owner is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[owner], name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

@@ -187,7 +187,16 @@ def run_paving(args) -> int:
         print("error: need --n >= 0", file=sys.stderr)
         return 2
     cells = geometry.paving_cells(n)
-    census = [str(v) for v in geometry.paving_census(n)]
+    enumerated = geometry.paving_census(n)
+    counted = series.paving_row(n)
+    mismatch = next((d for d, (u, v) in enumerate(zip(enumerated, counted)) if u != v), None)
+    if mismatch is not None:
+        print(
+            f"error: paving n={n} dim={mismatch}: enumerated {enumerated[mismatch]}, "
+            f"counted {counted[mismatch]}",
+            file=sys.stderr,
+        )
+    census = [str(v) for v in enumerated]
     _emit_report(
         args.format,
         {
@@ -201,7 +210,7 @@ def run_paving(args) -> int:
             "census: " + " ".join(census),
         ],
     )
-    return 0
+    return 0 if mismatch is None else 1
 
 
 # -- verify ----------------------------------------------------------------------

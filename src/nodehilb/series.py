@@ -6,7 +6,10 @@ q^n t^(2j) for 0 <= n, j <= order; odd-degree slots do not exist rather
 than being zeros.  Every coefficient on every route below is a
 Python int: each denominator built here is a product of the two linear
 factors 1-q and 1-q t^2, and ``expand`` divides by each of them with one
-running sum over the int array.  Truncation is exact.
+running sum over the int array.  Only the closed form and the module
+presentation go through ``expand``: the Mayer-Vietoris route keeps its own
+running sums, and the paving route counts cells and never divides.
+Truncation is exact.
 
 The generating function of the graded dimensions of the node module is
 computed here by three independent routes and compared coefficient by
@@ -20,8 +23,10 @@ coefficient:
     u^s (1-u^a)(1-u^b) / (1-u)^2, so each adds four +-1 point masses to an
     int array (+1 at s and s+a+b, -1 at s+a and s+b), and two running sums
     of the array give the row,
-  * the punctual factor 1 + sum_{c>=1} q^c (1 + (c-1) t^2) divided by the
-    smooth-locus factor (1-q t^2)^2.
+  * the census of the affine paving, counted by strata: a cell has a and
+    b points on the two branches and c at the node; for each c there are
+    n-c+1 pairs (a, b), each giving one cell of dimension n-c and, when
+    c >= 2, c-1 line cells of dimension n-c+1.
 
 A fourth route comes from the module presentation: the free module
 Q[x1,x2,y1,y2] has series 1/((1-q)^2 (1-q t^2)^2), the submodule
@@ -143,27 +148,34 @@ def mv_pv(order: int) -> Series:
     return out
 
 
-# -- route three: punctual over smooth-locus factor ---------------------------
+# -- route three: the paving census, counted by strata ------------------------
 
 
-def punctual_row(c: int) -> list[int]:
-    """Poincare polynomial of the punctual locus at the singular point.
+def paving_row(n: int) -> list[int]:
+    """Cells of the scheme of n points by dimension: s[n][j] for 0 <= j <= n.
 
-    The subschemes of length c supported entirely at the node form a chain
-    of c-1 projective lines; an affine paving gives 1 + (c-1) t^2 for
-    c >= 1 and 1 for c = 0.
+    A stratum has c of the n points at the node, and n-c+1 ways to put the
+    rest on the two branches.  Each way gives one cell of dimension n-c and,
+    since the punctual locus of length c >= 2 is a chain of c-1 projective
+    lines, also c-1 affine line cells of dimension n-c+1.
     """
-    if c < 0:
-        raise ValueError("length must be >= 0")
-    if c == 0:
-        return [1]
-    return [1, c - 1]
+    if n < 0:
+        raise ValueError("need n >= 0")
+    row = [0] * (n + 1)
+    for c in range(n + 1):
+        pairs = n - c + 1
+        row[n - c] += pairs
+        if c >= 2:
+            row[n - c + 1] += pairs * (c - 1)
+    return row
 
 
 def paving_pv(order: int) -> Series:
-    """The punctual factor divided by (1-q t^2)^2, one factor per branch."""
-    punctual = {(n, j): v for n in range(order + 1) for j, v in enumerate(punctual_row(n))}
-    return expand(punctual, order, 0, 2)
+    """The paving census of every level up to ``order``, row by row."""
+    out = _zeros(order)
+    for n, row in enumerate(out):
+        row[: n + 1] = paving_row(n)
+    return out
 
 
 # -- route four: the module presentation --------------------------------------

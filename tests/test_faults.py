@@ -60,16 +60,16 @@ def test_series_suite_catches_a_sign_flip_in_the_closed_form(capsys, monkeypatch
 
 def test_series_suite_catches_a_division_one_factor_short(capsys, monkeypatch):
     # every expansion divides by one 1-q t^2 too few.  Routes that share
-    # expand do not check each other: the closed form, the paving route and
-    # ambient minus submodule all lose the same factor and still agree.  The
-    # Mayer-Vietoris route and the enumerated dimensions share no division.
+    # expand do not check each other: the closed form and ambient minus
+    # submodule lose the same factor and still agree.  The Mayer-Vietoris
+    # route, the paving count and the enumerated dimensions share no division.
     real = series.expand
     monkeypatch.setattr(series, "expand", lambda num, order, q, qt2: real(num, order, q, qt2 - 1))
     code, report = verify(capsys, "series", "--order", "8")
     assert code == 1 and report["status"] == "fail"
-    mv = series_check(report, "closed-form-equals-mayer-vietoris")
-    assert mv["status"] == "fail" and mv["first_difference"] == [1, 1]
-    assert series_check(report, "closed-form-equals-paving")["status"] == "pass"
+    for label in ("mayer-vietoris", "paving"):
+        entry = series_check(report, f"closed-form-equals-{label}")
+        assert entry["status"] == "fail" and entry["first_difference"] == [1, 1]
     first_two = [["ambient", 1, 1, "1", 2], ["quotient", 1, 1, "1", 2]]
     assert enumeration_mismatches(report)[:2] == first_two
 
@@ -410,14 +410,27 @@ def test_relations_suite_catches_a_product_that_pairs_the_wrong_slots(capsys, mo
 
 
 def test_series_suite_catches_a_punctual_chain_one_line_too_long(capsys, monkeypatch):
-    # 1 + c t^2 instead of 1 + (c-1) t^2: only the paving route reads the
-    # punctual factor, and the first row with a t^2 term is q^1
-    monkeypatch.setattr(series, "punctual_row", lambda c: [1, c])
+    # c line cells per pair (a, b) instead of c-1: the stratum whose line
+    # cells have dimension j >= 1 has j pairs, so j more cells there.  Only
+    # the paving route counts the strata, and the first such cell is at q^1
+    real = series.paving_row
+    monkeypatch.setattr(series, "paving_row", lambda n: [v + j for j, v in enumerate(real(n))])
     code, report = verify(capsys, "series", "--order", "8")
     assert code == 1 and report["status"] == "fail"
     failed = [c["check"] for c in report["checks"] if c["status"] == "fail"]
     assert failed == ["closed-form-equals-paving"]
     assert series_check(report, "closed-form-equals-paving")["first_difference"] == [1, 1]
+
+
+def test_paving_command_catches_line_cells_one_dimension_too_high(capsys, monkeypatch):
+    # each affine line cell of the punctual chain counted one dimension too
+    # high: at n = 3 the two line cells of the stratum c = 3 leave dimension
+    # 1, so the enumerated census reads 2 there against the counted 4
+    monkeypatch.setattr(geometry.PavingCell, "dim", property(lambda c: c.a + c.b + 2 * (c.d >= 1)))
+    code = main(["paving", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out.splitlines()[-1] == "census: 1 2 5 6"
+    assert captured.err == "error: paving n=3 dim=1: enumerated 2, counted 4\n"
 
 
 def enumeration_mismatches(report):

@@ -276,6 +276,6 @@ class TestPaving:
         assert sum(1 for c in cells if (c.a, c.b, c.c) == (0, 0, 2)) == 2
 
     def test_census_matches_series_route(self):
-        s = paving_pv(15)
-        for n in range(16):
+        s = paving_pv(29)
+        for n in range(30):
             assert paving_census(n) == s[n][: n + 1]

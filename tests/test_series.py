@@ -18,7 +18,7 @@ from nodehilb.series import (
     module_pv_identity,
     mv_pv,
     paving_pv,
-    punctual_row,
+    paving_row,
     series_equal,
     submodule_pv,
 )
@@ -113,7 +113,8 @@ class TestExpand:
         order = 10
         numerators = [
             closed_form()[0],
-            {(c, j): v for c in range(order + 1) for j, v in enumerate(punctual_row(c))},
+            # the punctual factor 1 + sum_{c>=1} q^c (1 + (c-1) t^2)
+            {(0, 0): 1} | {(c, j): v for c in range(1, order + 1) for j, v in enumerate([1, c - 1])},
             {(3, 1): 5},
         ]
         for num in numerators:
@@ -266,34 +267,24 @@ class TestRouteIndependence:
         assert not shared, shared
 
     def test_paving_reaches_no_mayer_vietoris_code(self):
-        assert "expand" in reached({"paving_pv"})
-        shared = reached({"paving_pv"}) & (MV_ROUTE | {"intersection_poincare"})
+        assert "paving_row" in reached({"paving_pv"})
+        shared = reached({"paving_pv"}) & (MV_ROUTE | {"intersection_poincare", "expand", "closed_form"})
         assert not shared, shared
 
 
 class TestPavingRoute:
-    def test_punctual_rows(self):
-        assert punctual_row(0) == [1]
-        assert punctual_row(1) == [1, 0]
-        assert punctual_row(4) == [1, 3]
-
-    def test_row_two_by_hand_convolution(self):
-        # punctual rows (1), (1,0), (1,1); smooth factor diag (1, 2t^2, 3t^4)
-        expected = [Fraction(0)] * 3
-        smooth = {0: [1], 1: [0, 2], 2: [0, 0, 3]}
-        for c in range(3):
-            prow = punctual_row(c)
-            srow = smooth[2 - c]
-            for j1, u in enumerate(prow):
-                for j2, v in enumerate(srow):
-                    if j1 + j2 <= 2:
-                        expected[j1 + j2] += u * v
-        assert expected == [1, 3, 3]
+    def test_row_two_by_hand_count(self):
+        # two points, by the number c at the node: c = 0 leaves 3 pairs
+        # (a, b), each a cell of dim 2; c = 1 leaves 2, of dim 1; c = 2 leaves
+        # (0, 0), a point of dim 0 and one line cell of dim 1
+        by_stratum = [[0, 0, 3], [0, 2, 0], [1, 1, 0]]
+        assert paving_row(2) == [sum(cells) for cells in zip(*by_stratum)] == [1, 3, 3]
         assert paving_pv(4)[2][:3] == [1, 3, 3]
 
     def test_equals_closed_form_to_thirty(self):
-        ok, where = series_equal(paving_pv(30), closed_form_pv(30))
-        assert ok, where
+        for order in (30, 128):
+            ok, where = series_equal(paving_pv(order), closed_form_pv(order))
+            assert ok, (order, where)
 
 
 class TestModuleRoute:
