@@ -67,6 +67,11 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _slot(row: list[int], j: int) -> int | str:
+    """row[j], or "missing" where the row ends before j, for a mismatch message."""
+    return row[j] if j < len(row) else "missing"
+
+
 def _emit_rows(rows: list[list[str]], fmt: str, head: dict) -> None:
     """Print a table whose row n holds the coefficients of q^n.
 
@@ -92,21 +97,17 @@ def run_betti(args) -> int:
         print("error: --n-max must be >= 0", file=sys.stderr)
         return 2
     table = nodemodule.betti_table(n_max)
-    rows = [[table[n][j] for j in range(n + 1)] for n in range(n_max + 1)]
     closed = series.closed_form_pv(n_max)
-    mismatch = next(
-        ((n, j) for n in range(n_max + 1) for j in range(n + 1) if rows[n][j] != closed[n][j]),
-        None,
-    )
-    ok = mismatch is None
+    ok, where = series.series_equal(table, closed)
     if not ok:
-        n, j = mismatch
+        n, j = where
         print(
-            f"error: betti n={n} j={j}: enumerated {rows[n][j]}, closed form {closed[n][j]}",
+            f"error: betti n={n} j={j}: enumerated {_slot(table[n], j)}, "
+            f"closed form {_slot(closed[n], j)}",
             file=sys.stderr,
         )
     _emit_rows(
-        [[str(v) for v in row] for row in rows],
+        [[str(v) for v in row] for row in table],
         args.format,
         {"name": "betti", "parameters": {"n_max": n_max}, "status": _status(ok)},
     )
@@ -130,8 +131,7 @@ def run_series(args) -> int:
     if which not in makers:
         print(f"error: unknown series {which!r}", file=sys.stderr)
         return 2
-    s = makers[which](order)
-    _emit_rows([[str(v) for v in s[n][: n + 1]] for n in range(order + 1)], args.format, {"order": order})
+    _emit_rows([[str(v) for v in row] for row in makers[which](order)], args.format, {"order": order})
     return 0
 
 
@@ -187,13 +187,14 @@ def run_paving(args) -> int:
         print("error: need --n >= 0", file=sys.stderr)
         return 2
     cells = geometry.paving_cells(n)
-    enumerated = geometry.paving_census(n)
+    enumerated = geometry.paving_census(n, cells)
     counted = series.paving_row(n)
-    mismatch = next((d for d, (u, v) in enumerate(zip(enumerated, counted)) if u != v), None)
-    if mismatch is not None:
+    ok, where = series.series_equal([enumerated], [counted])
+    if not ok:
+        _, d = where
         print(
-            f"error: paving n={n} dim={mismatch}: enumerated {enumerated[mismatch]}, "
-            f"counted {counted[mismatch]}",
+            f"error: paving n={n} dim={d}: enumerated {_slot(enumerated, d)}, "
+            f"counted {_slot(counted, d)}",
             file=sys.stderr,
         )
     census = [str(v) for v in enumerated]
@@ -210,7 +211,7 @@ def run_paving(args) -> int:
             "census: " + " ".join(census),
         ],
     )
-    return 0 if mismatch is None else 1
+    return 0 if ok else 1
 
 
 # -- verify ----------------------------------------------------------------------
@@ -247,12 +248,9 @@ def verify_relations_report(m: int) -> dict:
 
 
 def verify_node_report(n_max: int) -> dict:
-    dims = [
-        {"n": n, "coeffs": [nodemodule.dim_piece(n, 2 * j) for j in range(n + 1)]}
-        for n in range(n_max + 1)
-    ]
-    closed = series.closed_form_pv(n_max)
-    dims_ok = all(row["coeffs"] == closed[row["n"]][: row["n"] + 1] for row in dims)
+    table = nodemodule.betti_table(n_max)
+    dims = [{"n": n, "coeffs": row} for n, row in enumerate(table)]
+    dims_ok = table == series.closed_form_pv(n_max)
     rel = _tally(nodemodule.relation_matrix_checks(n_max))
     gen = _tally(nodemodule.generation_checks(n_max))
     inj = _tally(nodemodule.injectivity_checks(n_max))

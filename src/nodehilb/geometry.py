@@ -254,9 +254,9 @@ def paving_cells(n: int) -> list[PavingCell]:
     return cells
 
 
-def paving_census(n: int) -> list[int]:
-    """Generating polynomial (in t^2) of cell dimensions at level n."""
+def paving_census(n: int, cells: list[PavingCell]) -> list[int]:
+    """Generating polynomial (in t^2) of the dimensions of ``cells``, the cells of level n."""
     out = [0] * (n + 1)
-    for cell in paving_cells(n):
+    for cell in cells:
         out[cell.dim] += 1
     return out

@@ -170,13 +170,13 @@ def dim_submodule(n: int, d: int) -> int:
 
 
 def betti_table(n_max: int) -> list[list[int]]:
-    """Rectangular table t[n][j] = dim of the (n, 2j) piece, 0 <= n, j <= n_max."""
+    """Triangular table t[n][j] = dim of the (n, 2j) piece, 0 <= j <= n <= n_max.
+
+    Row n holds its n+1 entries, the shape of a ``series.Series``.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [
-        [dim_piece(n, 2 * j) if j <= n else 0 for j in range(n_max + 1)]
-        for n in range(n_max + 1)
-    ]
+    return [[dim_piece(n, 2 * j) for j in range(n + 1)] for n in range(n_max + 1)]
 
 
 def _check_index(g: weyl.Generator) -> None:

@@ -1,13 +1,13 @@
 """Truncated bivariate Poincare series in q (points) and t (homological degree).
 
-Only even homological degrees occur, so a series truncated at ``order`` is
-its square int array, a list of order+1 rows with s[n][j] = coefficient of
-q^n t^(2j) for 0 <= n, j <= order; odd-degree slots do not exist rather
-than being zeros.  Every coefficient on every route below is a
-Python int: each denominator built here is a product of the two linear
-factors 1-q and 1-q t^2, and ``expand`` divides by each of them with one
-running sum over the int array.  Only the closed form and the module
-presentation go through ``expand``: the Mayer-Vietoris route keeps its own
+Only even homological degrees occur, and the scheme of n points has
+dimension n, so a series truncated at ``order`` is its int triangle: a list
+of order+1 rows, row n holding s[n][j] = coefficient of q^n t^(2j) for
+0 <= j <= n.  Every coefficient on every route below is a Python int: each
+denominator built here is a product of the two linear factors 1-q and
+1-q t^2, and ``expand`` divides by each of them with one running sum over
+the triangle.  Only the closed form and the module presentation go
+through ``expand``: the Mayer-Vietoris route keeps its own
 running sums, and the paving route counts cells and never divides.
 Truncation is exact.
 
@@ -36,20 +36,20 @@ is their difference.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import add
 
 from . import nodemodule
 
 Poly2 = dict  # exact bivariate polynomial: (i, j) -> coefficient of q^i t^(2j)
-Series = list[list[int]]  # truncated at order: order+1 rows of order+1 coefficients
+Series = list[list[int]]  # truncated at order: order+1 rows, row n of n+1 coefficients
 
 
-def _zeros(order: int) -> Series:
-    """The zero series to ``order``: an (order+1) x (order+1) int array."""
+def _levels(order: int) -> range:
+    """The levels 0..order of a series truncated at ``order``."""
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    return [[0] * (order + 1) for _ in range(order + 1)]
+    return range(order + 1)
 
 
 def _difference(a: Series, b: Series) -> Series:
@@ -58,33 +58,36 @@ def _difference(a: Series, b: Series) -> Series:
 
 
 def series_equal(a: Series, b: Series) -> tuple[bool, tuple[int, int] | None]:
-    """Exact comparison; on failure also return the smallest differing (n, j)."""
+    """Exact comparison; on failure also return the smallest (n, j) that differs or one side lacks."""
     if len(a) != len(b):
         raise ValueError(f"mismatched truncation orders {len(a) - 1} vs {len(b) - 1}")
     for n, (ra, rb) in enumerate(zip(a, b)):
-        for j, (u, v) in enumerate(zip(ra, rb)):
-            if u != v:
-                return False, (n, j)
+        if ra != rb:
+            return False, (n, next(j for j, (u, v) in enumerate(zip_longest(ra, rb)) if u != v))
     return True, None
 
 
 def expand(num: Poly2, order: int, q_factors: int, qt2_factors: int) -> Series:
     """num / ((1-q)^q_factors (1-q t^2)^qt2_factors), truncated at ``order``.
 
-    The numerator's terms inside the box are placed in the array, then each
-    factor is divided out by one running sum over the rows, in place: along
-    n for 1-q (s[n][j] += s[n-1][j]) and along the diagonal for 1-q t^2
-    (s[n][j] += s[n-1][j-1]).  Neither sum reads outside the box, so the
-    truncation is exact, and an int numerator gives int coefficients.
+    The numerator's terms up to q^order are placed in the triangle, then
+    each factor is divided out by one running sum over the rows, in place:
+    along n for 1-q (s[n][j] += s[n-1][j]) and along the diagonal for
+    1-q t^2 (s[n][j] += s[n-1][j-1]).  Neither factor carries j past n, so
+    the truncation is exact, and an int numerator gives int coefficients.
+    A term q^i t^(2j) with j > i is refused: over 1-q it reaches q^j t^(2j)
+    through slots the triangle does not hold.
     """
-    out = _zeros(order)
+    out = [[0] * (n + 1) for n in _levels(order)]
     for (i, j), v in num.items():
-        if i <= order and j <= order:
+        if j > i:
+            raise ValueError(f"numerator term q^{i} t^{2 * j} lies outside the triangle j <= n")
+        if i <= order:
             out[i][j] += v
     pairs = list(zip(out, out[1:]))
     for _ in range(q_factors):
         for prev, row in pairs:
-            row[:] = map(add, row, prev)
+            row[:-1] = map(add, row, prev)
     for _ in range(qt2_factors):
         for prev, row in pairs:
             row[1:] = map(add, row[1:], prev)
@@ -137,14 +140,14 @@ def intersection_poincare(n: int, k: int) -> list[int]:
 
 def mv_pv(order: int) -> Series:
     """Series assembled row by row from components minus intersections."""
-    out = _zeros(order)
-    for n in range(order + 1):
+    out = []
+    for n in _levels(order):
         acc = [0] * (n + 1)
         for k in range(n + 1):
             _component_masses(acc, n, k)
         for k in range(n):
             _add_box(acc, k + 1, n - k, sign=-1)
-        out[n][: n + 1] = _running_sums(acc)
+        out.append(_running_sums(acc))
     return out
 
 
@@ -172,10 +175,7 @@ def paving_row(n: int) -> list[int]:
 
 def paving_pv(order: int) -> Series:
     """The paving census of every level up to ``order``, row by row."""
-    out = _zeros(order)
-    for n, row in enumerate(out):
-        row[: n + 1] = paving_row(n)
-    return out
+    return [paving_row(n) for n in _levels(order)]
 
 
 # -- route four: the module presentation --------------------------------------

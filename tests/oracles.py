@@ -278,15 +278,15 @@ def component_poincare(n: int, k: int) -> list[int]:
 
 
 def box_count_mv_pv(order: int) -> list[list[int]]:
-    """``series.mv_pv`` summed one coefficient at a time by ``box_count``."""
-    out = [[0] * (order + 1) for _ in range(order + 1)]
-    for n, row in enumerate(out):
-        for j in range(n + 1):
-            row[j] = (
-                sum(box_count(n - k + 1, k + 1, j) + box_count(k, n - k, j - 1) for k in range(n + 1))
-                - sum(box_count(k + 1, n - k, j) for k in range(n))
-            )
-    return out
+    """``series.mv_pv`` summed one coefficient at a time by ``box_count``, row n to j = n."""
+    return [
+        [
+            sum(box_count(n - k + 1, k + 1, j) + box_count(k, n - k, j - 1) for k in range(n + 1))
+            - sum(box_count(k + 1, n - k, j) for k in range(n))
+            for j in range(n + 1)
+        ]
+        for n in range(order + 1)
+    ]
 
 
 def truncated_product(s: list[list[int]], poly: dict) -> list[list[int]]:

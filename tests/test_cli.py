@@ -144,9 +144,13 @@ class TestKernel:
 
 
 class TestPaving:
-    def test_level_two_json(self, capsys):
+    def test_level_two_json(self, capsys, monkeypatch):
+        # the cells are enumerated once, for the listing and the census both
+        calls = []
+        real = geometry.paving_cells
+        monkeypatch.setattr(geometry, "paving_cells", lambda n: calls.append(n) or real(n))
         code, out, err = run(capsys, "paving", "--n", "2", "--format", "json")
-        assert code == 0 and err == ""
+        assert code == 0 and err == "" and calls == [2]
         obj = json.loads(out)
         assert obj["census"] == ["1", "3", "3"]
         assert {"a": 0, "b": 0, "c": 2, "d": 1, "dim": 1} in obj["cells"]

@@ -88,6 +88,38 @@ def test_series_suite_catches_a_missing_exceptional_divisor(capsys, monkeypatch)
     assert series_check(report, "closed-form-equals-mayer-vietoris")["first_difference"] == [2, 1]
 
 
+def test_a_row_one_coefficient_short_is_a_named_difference(capsys, monkeypatch):
+    # row 5 loses its top coefficient: the entry that only one side holds is
+    # a difference, not the end of the comparison, and each command names it
+    def short_row_five(make):
+        def short(order):
+            s = make(order)
+            s[5].pop()
+            return s
+
+        return short
+
+    monkeypatch.setattr(series, "mv_pv", short_row_five(series.mv_pv))
+    code, report = verify(capsys, "series", "--order", "8")
+    assert code == 1 and report["status"] == "fail"
+    failed = [c["check"] for c in report["checks"] if c["status"] == "fail"]
+    assert failed == ["closed-form-equals-mayer-vietoris"]
+    assert series_check(report, "closed-form-equals-mayer-vietoris")["first_difference"] == [5, 5]
+
+    monkeypatch.setattr(nodemodule, "betti_table", short_row_five(nodemodule.betti_table))
+    code = main(["betti", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out.splitlines()[5] == "1 6 9 10 9"
+    assert captured.err == "error: betti n=5 j=5: enumerated missing, closed form 6\n"
+
+    real_row = series.paving_row
+    monkeypatch.setattr(series, "paving_row", lambda n: real_row(n)[:n])
+    code = main(["paving", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out.splitlines()[-1] == "census: 1 5 7 7 5"
+    assert captured.err == "error: paving n=4 dim=4: enumerated 5, counted missing\n"
+
+
 def test_kernel_suite_catches_equal_pullbacks(capsys, monkeypatch):
     # adding a point on the second branch now keeps the component index, so
     # the last component k = n has no restriction target and its whole

@@ -264,10 +264,10 @@ class TestPaving:
         assert len(cells) == 1 and cells[0].dim == 0
 
     def test_census_level_two(self):
-        assert paving_census(2) == [1, 3, 3]
+        assert paving_census(2, paving_cells(2)) == [1, 3, 3]
 
     def test_census_level_zero(self):
-        assert paving_census(0) == [1]
+        assert paving_census(0, paving_cells(0)) == [1]
 
     def test_cells_level_two_inventory(self):
         cells = paving_cells(2)
@@ -278,4 +278,4 @@ class TestPaving:
     def test_census_matches_series_route(self):
         s = paving_pv(29)
         for n in range(30):
-            assert paving_census(n) == s[n][: n + 1]
+            assert paving_census(n, paving_cells(n)) == s[n]
