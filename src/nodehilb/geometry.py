@@ -228,30 +228,21 @@ class PavingCell(NamedTuple):
         return self.a + self.b + (1 if self.d >= 1 else 0)
 
 
-def punctual_cells(c: int) -> list[PavingCell]:
-    """Cells of the punctual locus of length c at the node.
-
-    A chain of c-1 projective lines: one point-cell and c-1 affine lines
-    (for c = 0 the single empty cell).
-    """
-    if c < 0:
-        raise ValueError("length must be >= 0")
-    if c <= 1:
-        return [PavingCell(0, 0, c, 0)]
-    return [PavingCell(0, 0, c, d) for d in range(c)]
-
-
 def paving_cells(n: int) -> list[PavingCell]:
-    """All cells of the scheme of n points, in a fixed deterministic order."""
+    """All cells of the scheme of n points, in a fixed deterministic order.
+
+    The punctual locus of length c at the node is a chain of c-1 projective
+    lines: one point-cell and c-1 affine lines (for c <= 1 the single
+    point-cell), so c points at the node give the cells d < max(c, 1).
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    cells = []
-    for a in range(n + 1):
-        for b in range(n - a + 1):
-            c = n - a - b
-            for pc in punctual_cells(c):
-                cells.append(PavingCell(a, b, c, pc.d))
-    return cells
+    return [
+        PavingCell(a, b, n - a - b, d)
+        for a in range(n + 1)
+        for b in range(n - a + 1)
+        for d in range(max(n - a - b, 1))
+    ]
 
 
 def paving_census(n: int, cells: list[PavingCell]) -> list[int]:

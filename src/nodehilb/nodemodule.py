@@ -84,15 +84,16 @@ def _normal_form(e: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def piece_data(n: int, d: int) -> tuple:
-    """The canonical basis of the (n, d) piece: its non-pivot monomials, largest first."""
-    return tuple(e for e in piece_monomials(n, d) if not _is_pivot(e))
+def piece_data(n: int, d: int) -> dict:
+    """The canonical basis of the (n, d) piece, each monomial mapped to its row.
 
-
-@lru_cache(maxsize=None)
-def piece_index(n: int, d: int) -> dict:
-    """The row of each basis monomial of the (n, d) piece; shared, so never mutate it."""
-    return {e: i for i, e in enumerate(piece_data(n, d))}
+    The basis is the non-pivot monomials, largest first: iterating gives
+    them in row order, ``len`` is the dimension, and indexing gives a row.
+    Outside the triangle 0 <= d <= 2n the piece is empty.  Shared, so never
+    mutate it.
+    """
+    basis = [e for e in piece_monomials(n, d) if not _is_pivot(e)]
+    return {e: i for i, e in enumerate(basis)}
 
 
 class NodeClass(NamedTuple):
@@ -131,11 +132,9 @@ def reduce_poly(p: exact.Poly, grade: tuple[int, int] | None = None) -> NodeClas
 
 
 def dim_piece(n: int, d: int) -> int:
-    """dim of the (n, d) piece of the quotient, by exact enumeration."""
+    """dim of the (n, d) piece of the quotient, by exact enumeration; 0 outside the triangle."""
     if d % 2 != 0:
         raise ValueError(f"homological degree must be even, got {d}")
-    if n < 0 or d < 0:
-        return 0
     return len(piece_data(n, d))
 
 
@@ -167,6 +166,11 @@ def dim_submodule(n: int, d: int) -> int:
         for a, b, _ in gens
     ]
     return exact.rank(rows, len(index))
+
+
+def pieces(n_max: int) -> list[tuple[int, int]]:
+    """The bidegrees (n, 2j) with 0 <= j <= n <= n_max: every piece that can be nonzero."""
+    return [(n, 2 * j) for n in range(n_max + 1) for j in range(n + 1)]
 
 
 def betti_table(n_max: int) -> list[list[int]]:
@@ -216,10 +220,6 @@ def fundamental_class(n: int, k: int) -> NodeClass:
 
 
 # -- operator matrices on graded pieces ---------------------------------------
-
-
-def _piece_in_range(n: int, d: int) -> bool:
-    return n >= 0 and 0 <= d <= 2 * n
 
 
 class _Shared(dict):
@@ -283,10 +283,12 @@ def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     """Sparse matrix of a generator from piece (n, d), one column per basis class.
 
     Column j lists (row, coeff) pairs over the canonical basis of the target
-    piece (n, d) + bidegree(g); an out-of-range target gives all-empty
-    columns.  ``_read_off`` reads every column off the exponents of its basis
-    monomial in one pass, in ``int``; ``apply_generator`` is the independent
-    route through the Weyl algebra.
+    piece (n, d) + bidegree(g).  ``_read_off`` reads every column off the
+    exponents of its basis monomial in one pass, in ``int``;
+    ``apply_generator`` is the independent route through the Weyl algebra.
+    A target outside the triangle needs no guard: only d1, d2 and mu- leave
+    it, d_i from d = 0 where every b_i is 0 and mu- from d = 2n where every
+    a_i is 0, so each image is empty before a row is looked up.
 
     Equal columns and equal terms are each one shared object: most repeat
     across generators and pieces (at n_max 15, 3,803 distinct columns among
@@ -298,23 +300,20 @@ def operator_columns(g: weyl.Generator, n: int, d: int) -> tuple:
     nor when ``_read_off`` is patched.
     """
     _check_index(g)
-    src = piece_data(n, d)
     dn, dd = g.bidegree
-    n2, d2 = n + dn, d + dd
-    if not _piece_in_range(n2, d2):
-        return tuple(() for _ in src)
-    return tuple([_COLUMNS[c] for c in _read_off(g, src, piece_index(n2, d2))])
+    return tuple([_COLUMNS[c] for c in _read_off(g, piece_data(n, d), piece_data(n + dn, d + dd))])
 
 
 def commutator_columns(a: weyl.Generator, b: weyl.Generator, n: int, d: int) -> list[dict]:
-    """Sparse columns of [a, b] on the (n, d) piece, +a b and -b a in one pass."""
+    """Sparse columns of [a, b] on the (n, d) piece, +a b and -b a in one pass.
+
+    A composition through a middle piece outside the triangle is zero, as
+    the columns of ``operator_columns`` into it are empty.
+    """
     add_into = exact.add_into
     out: list[dict] = [{} for _ in piece_data(n, d)]
     for first, second, sign in ((b, a, 1), (a, b, -1)):
-        mid_n, mid_d = n + first.bidegree[0], d + first.bidegree[1]
-        if not _piece_in_range(mid_n, mid_d):
-            continue  # the composition is zero
-        outer = operator_columns(second, mid_n, mid_d)
+        outer = operator_columns(second, n + first.bidegree[0], d + first.bidegree[1])
         for acc, col in zip(out, operator_columns(first, n, d)):
             for f, c in col:
                 add_into(acc, outer[f], sign * c)
@@ -341,18 +340,16 @@ def relation_matrix_checks(n_max: int) -> list[PieceCheck]:
         for r in weyl.defining_relations(M)
     ]
     checks = []
-    for n in range(n_max + 1):
-        for j in range(n + 1):
-            d = 2 * j
-            zero: dict = {}  # the verdicts of the zero relations computed on this piece
-            for name, a, b, ident in relations:
-                if ident:
-                    ok = all(c == {i: 1} for i, c in enumerate(commutator_columns(a, b, n, d)))
-                elif a == b or (b, a) in zero:
-                    ok = a == b or zero[b, a]
-                else:
-                    ok = zero[a, b] = not any(commutator_columns(a, b, n, d))
-                checks.append(PieceCheck(name, n, d, ok))
+    for n, d in pieces(n_max):
+        zero: dict = {}  # the verdicts of the zero relations computed on this piece
+        for name, a, b, ident in relations:
+            if ident:
+                ok = all(c == {i: 1} for i, c in enumerate(commutator_columns(a, b, n, d)))
+            elif a == b or (b, a) in zero:
+                ok = a == b or zero[b, a]
+            else:
+                ok = zero[a, b] = not any(commutator_columns(a, b, n, d))
+            checks.append(PieceCheck(name, n, d, ok))
     return checks
 
 
@@ -390,13 +387,11 @@ def injectivity_checks(n_max: int) -> list[PieceCheck]:
     x1, x2, _, _, mup, _ = weyl.generators(M)
     checks = []
     for g in (x1, x2, mup):
-        for n in range(n_max + 1):
-            for j in range(n + 1):
-                d = 2 * j
-                cols = operator_columns(g, n, d)
-                target = piece_data(n + g.bidegree[0], d + g.bidegree[1])
-                ok = certified_rank(cols, len(target)) == len(cols)
-                checks.append(PieceCheck(f"mult-by-{g}-injective", n, d, ok))
+        for n, d in pieces(n_max):
+            cols = operator_columns(g, n, d)
+            target = piece_data(n + g.bidegree[0], d + g.bidegree[1])
+            ok = certified_rank(cols, len(target)) == len(cols)
+            checks.append(PieceCheck(f"mult-by-{g}-injective", n, d, ok))
     return checks
 
 
@@ -429,7 +424,7 @@ def generation_checks(n_max: int) -> list[GenerationCheck]:
     checks = []
     for n in range(n_max + 1):
         for K in range(n, n_max + 1):
-            index = piece_index(K, 2 * n)
+            index = piece_data(K, 2 * n)
             rows = [
                 [(index[e], c) for e, c in _normal_form((a, K - n - a, k, n - k))]
                 for a in range(K - n + 1)

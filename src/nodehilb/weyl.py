@@ -146,13 +146,6 @@ class WeylOp(Combination):
         return out
 
 
-def _falling(a: int, j: int) -> int:
-    out = 1
-    for t in range(j):
-        out *= a - t
-    return out
-
-
 def _mono_mul(k1, k2, m):
     """Normal-form product of two normal monomials, as (key, coeff) pairs.
 
@@ -170,7 +163,7 @@ def _mono_mul(k1, k2, m):
         for (i, g, a), j in zip(meet, js):
             key[i] -= j
             key[n + i] -= j
-            c *= math.comb(g, j) * _falling(a, j)
+            c *= math.comb(g, j) * math.perm(a, j)
         yield tuple(key), c
 
 

@@ -21,3 +21,12 @@ def ranked(monkeypatch):
     real = exact.rank
     monkeypatch.setattr(exact, "rank", lambda mat, ncols=None: calls.append(mat) or real(mat, ncols))
     return calls
+
+
+def clear_node_caches() -> None:
+    """Empty every ``lru_cache`` of ``nodemodule``, each found by its ``cache_clear``."""
+    from nodehilb import nodemodule
+
+    for value in vars(nodemodule).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

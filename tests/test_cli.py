@@ -14,6 +14,7 @@ import nodehilb
 from nodehilb import cli, geometry, nodemodule, series
 from nodehilb.cli import main
 from nodehilb.weyl import Generator
+from conftest import clear_node_caches
 
 KNOWN_TABLE = "1\n1 2\n1 3 3\n1 4 5 4\n1 5 7 7 5\n1 6 9 10 9 6\n"
 
@@ -520,8 +521,7 @@ runpy.run_module("nodehilb.cli", run_name="__main__", alter_sys=True)
 
 def cyclic_garbage(argv) -> int:
     """What ``gc.collect()`` frees after ``main(argv)`` runs with the collector off."""
-    for cached in (nodemodule.piece_data, nodemodule.piece_index, nodemodule.operator_columns):
-        cached.cache_clear()
+    clear_node_caches()
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()

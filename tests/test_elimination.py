@@ -270,7 +270,7 @@ def test_piece_data_matches_dense_oracle():
             red, pivots = dense_rref(rows)
             assert [monos[i] for i in pivots] == [e for e in monos if _is_pivot(e)]
             pivot_set = set(pivots)
-            assert piece_data(n, d) == tuple(
+            assert tuple(piece_data(n, d)) == tuple(
                 e for i, e in enumerate(monos) if i not in pivot_set
             )
             for e in monos:

@@ -13,6 +13,7 @@ from nodehilb import exact, geometry, nodemodule, series, weyl
 from nodehilb.cli import main
 from nodehilb.exact import Poly
 from nodehilb.weyl import Generator
+from conftest import clear_node_caches
 
 
 def verify(capsys, *argv):
@@ -33,12 +34,9 @@ def fresh_caches():
     Otherwise columns cached by earlier tests would hide the fault, and the
     broken columns would leak into later tests.
     """
-    caches = (nodemodule.piece_data, nodemodule.piece_index, nodemodule.operator_columns)
-    for cached in caches:
-        cached.cache_clear()
+    clear_node_caches()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    clear_node_caches()
 
 
 def series_check(report, check):

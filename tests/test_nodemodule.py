@@ -27,6 +27,7 @@ from nodehilb.nodemodule import (
     operator_columns,
     piece_data,
     piece_monomials,
+    pieces,
     reduce_poly,
     relation_matrix_checks,
     u_generator_exponents,
@@ -182,6 +183,13 @@ class TestDimensions:
         from nodehilb.series import closed_form_pv
 
         assert betti_table(10) == closed_form_pv(10)
+        # pieces, the one enumeration the checks run over, is the triangle
+        # (n, 2j) for 0 <= j <= n and holds every dimension of the closed form
+        for N in range(13):
+            ps = pieces(N)
+            assert len(set(ps)) == len(ps) == (N + 1) * (N + 2) // 2
+            assert all(0 <= n <= N and d % 2 == 0 and 0 <= d <= 2 * n for n, d in ps)
+            assert sum(dim_piece(n, d) for n, d in ps) == sum(map(sum, closed_form_pv(N)))
 
 
 class TestAction:
@@ -325,8 +333,8 @@ class TestCertificates:
             for d in range(0, 2 * n + 1, 2):
                 for g in generators(2):
                     assert all(map(ascending, operator_columns(g, n, d))), (g, n, d)
-                index = nodemodule.piece_index(n, d)
-                assert index == {e: i for i, e in enumerate(piece_data(n, d))}
+                index = piece_data(n, d)
+                assert list(index.values()) == list(range(len(index)))
                 for e in piece_monomials(n, d):
                     terms = [(index[h], c) for h, c in nodemodule._normal_form(e)]
                     assert ascending(terms), e
@@ -378,6 +386,8 @@ class TestOperatorIdentities:
     def test_relation_matrices_to_six(self):
         checks = relation_matrix_checks(6)
         assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+        # every piece once per relation, piece by piece
+        assert [(c.n, c.d) for c in checks] == [p for p in pieces(6) for _ in range(21)]
 
     def test_relation_table_is_pinned(self):
         # the 21 defining relations per piece, in report order
@@ -423,6 +433,10 @@ class TestOperatorIdentities:
     def test_injectivity_to_six(self):
         checks = injectivity_checks(6)
         assert all(c.ok for c in checks)
+        # every piece once per generator, generator by generator
+        assert [(c.n, c.d) for c in checks] == pieces(6) * 3
+        names = [f"mult-by-{g}-injective" for g in ("x1", "x2", "mu+")]
+        assert [c.name for c in checks] == [name for name in names for _ in pieces(6)]
 
     def test_operator_matrix_shapes(self):
         # one column per source basis class, rows inside the target basis
@@ -473,11 +487,16 @@ class TestOperatorIdentities:
                 "mu-": [raised(e, i, -1) for i in (0, 1) if e[i]],
             }
 
+        # every image lies in the target piece, so a target outside the
+        # triangle gets no image at all and needs no range guard
+        shift = {str(g): g.bidegree for g in generators(2)}
         met = {g: set() for g in ("x1", "x2", "d1", "d2", "mu+", "mu-")}
         for n in range(31):
             for j in range(n + 1):
                 for e in piece_data(n, 2 * j):
                     for g, fs in images(e).items():
+                        dn, dd = shift[g]
+                        assert set(fs) <= set(piece_monomials(n + dn, 2 * j + dd)), (g, e)
                         if any(nodemodule._is_pivot(f) for f in fs):
                             met[g].add(e)
         assert not met["x2"] and not met["d1"] and not met["mu+"] and not met["mu-"]
