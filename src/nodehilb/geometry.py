@@ -23,6 +23,11 @@ zero, since the target ring has no such class.  So each pullback sends a
 basis class (a ``CohElem``) to one basis class or to zero (``None``), and
 the kernels are lists of basis classes.
 
+``_elem_valid`` is the one range rule for basis classes, and ``CohElem``
+checks nothing: ``coh_basis`` enumerates only the ranges above, ``_moved``
+applies the rule before it builds an image, and ``top_zeta_class`` is asked
+only for 0 < k < n.
+
 The module also carries the affine paving of the schemes of points: cells
 are indexed by points on the two smooth loci plus a cell of the punctual
 locus at the node, which is a chain of projective lines paved by one point
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import nodemodule, series
+from . import series
 
 
 def component_count(n: int, m: int) -> int:
@@ -44,24 +49,18 @@ def component_count(n: int, m: int) -> int:
     return math.comb(n + m - 1, n)
 
 
-class _CohElemFields(NamedTuple):
+class CohElem(NamedTuple):
+    """Basis class of a component: a^i b^j, with a zeta prefix when kind='zeta'.
+
+    Unchecked: only ``coh_basis``, ``_moved`` and ``top_zeta_class`` build
+    one, each from exponents that ``_elem_valid`` accepts.
+    """
+
     n: int
     k: int
     kind: str  # "plain" or "zeta"
     i: int
     j: int
-
-
-class CohElem(_CohElemFields):
-    """Basis class of a component: a^i b^j, with a zeta prefix when kind='zeta'."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, k: int, kind: str, i: int, j: int):
-        self = super().__new__(cls, n, k, kind, i, j)
-        if not _elem_valid(n, k, kind, i, j):
-            raise ValueError(f"no such basis class: {self}")
-        return self
 
     @property
     def degree(self) -> int:
@@ -95,11 +94,9 @@ def coh_basis(n: int, k: int) -> list[CohElem]:
     """Ordered additive basis of the cohomology of component (n, k)."""
     if not 0 <= k <= n:
         raise ValueError(f"component index {k} out of range for n={n}")
-    # every exponent is in range, so CohElem's own check is skipped; sorted
-    # by half the degree, then kind, i, j (fields 2, 3, 4)
-    make = _CohElemFields.__new__
-    elems = [make(CohElem, n, k, "plain", i, j) for i in range(n - k + 1) for j in range(k + 1)]
-    elems += [make(CohElem, n, k, "zeta", i, j) for i in range(n - k) for j in range(k)]
+    # sorted by half the degree, then kind, i, j (fields 2, 3, 4)
+    elems = [CohElem(n, k, "plain", i, j) for i in range(n - k + 1) for j in range(k + 1)]
+    elems += [CohElem(n, k, "zeta", i, j) for i in range(n - k) for j in range(k)]
     elems.sort(key=lambda e: (e[3] + e[4] + (e[2] == "zeta"), e[2], e[3], e[4]))
     return elems
 
@@ -117,8 +114,7 @@ def _moved(e: CohElem, new_k: int) -> CohElem | None:
     n2 = e.n - 1
     if not _elem_valid(n2, new_k, e.kind, e.i, e.j):
         return None
-    # validated just above, so CohElem's own check is skipped
-    return _CohElemFields.__new__(CohElem, n2, new_k, e.kind, e.i, e.j)
+    return CohElem(n2, new_k, e.kind, e.i, e.j)
 
 
 def pullback_x1(e: CohElem) -> CohElem | None:
@@ -175,36 +171,22 @@ def kernel_intersection(n: int) -> dict[int, list[CohElem]]:
 
 
 def top_zeta_class(n: int, k: int) -> CohElem:
-    """zeta a^(n-k-1) b^(k-1), the unique top-degree zeta basis class."""
+    """zeta a^(n-k-1) b^(k-1), the unique top-degree zeta basis class, for 0 < k < n."""
     return CohElem(n, k, "zeta", n - k - 1, k - 1)
 
 
-def mv_dimension_check(n: int) -> dict:
-    """Components minus intersections must give the module dimensions, degreewise."""
+def mv_dimensions(n: int) -> list[int]:
+    """Components (read off the bases) minus intersections in degree 2j, j = 0..n.
+
+    By Mayer-Vietoris these are the module dimensions ``nodemodule.dim_piece(n, 2j)``.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    rows = []
-    ok_all = True
-    for j in range(n + 1):
-        comp = sum(poincare_from_basis(n, k)[j] for k in range(n + 1))
-        inter = 0
-        for k in range(n):
-            poly = series.intersection_poincare(n, k)
-            if j < len(poly):
-                inter += poly[j]
-        expected = nodemodule.dim_piece(n, 2 * j)
-        ok = comp - inter == expected
-        ok_all = ok_all and ok
-        rows.append(
-            {
-                "degree": 2 * j,
-                "components": comp,
-                "intersections": inter,
-                "module_dimension": expected,
-                "status": "pass" if ok else "fail",
-            }
-        )
-    return {"name": "mayer-vietoris-dimensions", "n": n, "status": "pass" if ok_all else "fail", "rows": rows}
+    out = [sum(col) for col in zip(*(poincare_from_basis(n, k) for k in range(n + 1)))]
+    for k in range(n):
+        for j, v in enumerate(series.intersection_poincare(n, k)):
+            out[j] -= v
+    return out
 
 
 # -- affine paving -------------------------------------------------------------
@@ -247,7 +229,9 @@ def paving_cells(n: int) -> list[PavingCell]:
 
 def paving_census(n: int, cells: list[PavingCell]) -> list[int]:
     """Generating polynomial (in t^2) of the dimensions of ``cells``, the cells of level n."""
-    out = [0] * (n + 1)
-    for cell in cells:
-        out[cell.dim] += 1
+    dims = [cell.dim for cell in cells]
+    # at least n+1 slots, and more if a cell is too high, so a comparison can name that slot
+    out = [0] * (max(dims + [n]) + 1)
+    for d in dims:
+        out[d] += 1
     return out

@@ -592,6 +592,28 @@ class TestPublicSurface:
         with pytest.raises(AttributeError, match="^module 'nodehilb' has no attribute 'no_such_name'$"):
             nodehilb.no_such_name
 
+    def test_the_package_import_graph(self):
+        # each module's relative imports, wherever they stand in it: a new
+        # edge between two modules has to be made here too
+        graph = {}
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            if path.stem == "__init__":
+                continue
+            graph[path.stem] = {
+                node.module or alias.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names
+            }
+        assert graph == {
+            "exact": set(),
+            "weyl": {"exact"},
+            "nodemodule": {"exact", "weyl"},
+            "series": {"nodemodule"},
+            "geometry": {"series"},
+            "cli": {"geometry", "nodemodule", "series", "weyl"},
+        }
+
 
 class TestRecords:
     def test_cli_import_loads_no_dataclasses(self):

@@ -463,6 +463,17 @@ def test_paving_command_catches_line_cells_one_dimension_too_high(capsys, monkey
     assert captured.err == "error: paving n=3 dim=1: enumerated 2, counted 4\n"
 
 
+def test_paving_command_names_a_cell_above_the_top_dimension(capsys, monkeypatch):
+    # each affine line cell counted two dimensions too high: at n = 2 the line
+    # cell of the stratum c = 2 lands at dimension 3, past the top of the
+    # level.  The census grows a slot for it instead of failing to index it
+    monkeypatch.setattr(geometry.PavingCell, "dim", property(lambda c: c.a + c.b + 3 * (c.d >= 1)))
+    code = main(["paving", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out.splitlines()[-1] == "census: 1 2 3 1"
+    assert captured.err == "error: paving n=2 dim=1: enumerated 2, counted 3\n"
+
+
 def enumeration_mismatches(report):
     identity = series_check(report, "module-series-identity")
     assert identity["status"] == "fail"

@@ -12,7 +12,7 @@ from nodehilb.geometry import (
     coh_basis,
     component_count,
     kernel_intersection,
-    mv_dimension_check,
+    mv_dimensions,
     paving_cells,
     paving_census,
     poincare_from_basis,
@@ -20,7 +20,8 @@ from nodehilb.geometry import (
     pullback_x2,
     top_zeta_class,
 )
-from nodehilb.series import paving_pv
+from nodehilb.nodemodule import dim_piece
+from nodehilb.series import intersection_poincare, paving_pv
 from oracles import component_poincare, pullback_matrix
 
 
@@ -81,31 +82,23 @@ class TestCohBasis:
             for k in range(n + 1):
                 assert poincare_from_basis(n, k) == component_poincare(n, k)
 
-    def test_unvalidated_build_equals_the_validated_one(self):
-        # coh_basis skips CohElem's range check and sorts by its fields: each
-        # class must still be in range, and the list must be the one built
-        # through CohElem and sorted by degree
+    def test_basis_is_the_in_range_classes_sorted_by_degree(self):
         for n in range(21):
             for k in range(n + 1):
-                basis = coh_basis(n, k)
-                assert all(type(e) is CohElem and _elem_valid(*e) for e in basis), (n, k)
-                validated = [
+                in_range = [
                     CohElem(n, k, kind, i, j)
                     for kind in ("plain", "zeta")
                     for i in range(n + 1)
                     for j in range(n + 1)
                     if _elem_valid(n, k, kind, i, j)
                 ]
-                validated.sort(key=lambda e: (e.degree, e.kind, e.i, e.j))
-                assert basis == validated, (n, k)
+                in_range.sort(key=lambda e: (e.degree, e.kind, e.i, e.j))
+                assert coh_basis(n, k) == in_range, (n, k)
 
     def test_invalid_elements_rejected(self):
-        with pytest.raises(ValueError):
-            CohElem(2, 1, "zeta", 1, 0)  # zeta exponents out of range
-        with pytest.raises(ValueError):
-            CohElem(2, 0, "zeta", 0, 0)  # no exceptional divisor on P^2
-        with pytest.raises(ValueError):
-            CohElem(2, 1, "plain", 2, 0)  # a^2 does not exist at (2, 1)
+        assert not _elem_valid(2, 1, "zeta", 1, 0)  # zeta exponents out of range
+        assert not _elem_valid(2, 0, "zeta", 0, 0)  # no exceptional divisor on P^2
+        assert not _elem_valid(2, 1, "plain", 2, 0)  # a^2 does not exist at (2, 1)
 
 
 class TestPullbacks:
@@ -136,8 +129,7 @@ class TestPullbacks:
                 for e in coh_basis(n, k):
                     for pb in (pullback_x1, pullback_x2):
                         out = pb(e)
-                        # an image skips CohElem's own check, so rebuild it through that check
-                        assert out is None or (out.degree == e.degree and out == CohElem(*out))
+                        assert out is None or (out.degree == e.degree and _elem_valid(*out))
 
     @staticmethod
     def matrix_of(route, src, tgt):
@@ -235,18 +227,16 @@ class TestKernels:
 
 class TestMayerVietorisDimensions:
     def test_level_two_middle_degree(self):
-        report = mv_dimension_check(2)
-        row = report["rows"][1]
-        assert (row["components"], row["intersections"], row["module_dimension"]) == (5, 2, 3)
+        components = sum(poincare_from_basis(2, k)[1] for k in range(3))
+        intersections = sum(intersection_poincare(2, k)[1] for k in range(2))
+        assert (components, intersections, mv_dimensions(2)[1]) == (5, 2, 3)
 
     def test_level_zero(self):
-        report = mv_dimension_check(0)
-        assert report["status"] == "pass"
-        assert report["rows"][0]["module_dimension"] == 1
+        assert mv_dimensions(0) == [1]
 
-    def test_levels_to_ten(self):
-        for n in range(11):
-            assert mv_dimension_check(n)["status"] == "pass"
+    def test_equals_module_dimensions_to_thirty(self):
+        for n in range(31):
+            assert mv_dimensions(n) == [dim_piece(n, 2 * j) for j in range(n + 1)], n
 
 
 def punctual_dims(c):
