@@ -12,9 +12,10 @@ linear combinations of monomials in commuting exponents, and share one
 class, :class:`Combination`.  It holds the key format: a key is one flat
 exponent tuple, m entries for each variable prefix of the subclass.  Its
 constructor checks every key and drops zero coefficients, and it holds the
-sums, scalar and ring products, powers, equality, hashing and text form
-once.  Each subclass adds only its prefixes and the product of two keys.  A
-sparse coefficient dict is accumulated in one place, :func:`add_into`.
+sums, scalar and ring products, powers, equality and text form once; sums
+and equality take only a combination of the same class.  Each subclass adds
+only its prefixes and the product of two keys.  A sparse coefficient dict
+is accumulated in one place, :func:`add_into`.
 
 Polynomials live in Q[x1..xm, y1..ym].  A monomial is a flat exponent tuple
 of length ``2m`` (x-exponents first, then y-exponents), and carries the
@@ -106,6 +107,10 @@ class Combination:
     * ``_mono_mul(k1, k2)``: the product of two keys as ``(key, int)``
       pairs.
 
+    Sums and equality take a combination of the same class only (any other
+    operand gets ``NotImplemented``); equality is by content, so a
+    combination is not hashable.  A scalar enters through ``*`` alone.
+
     Immutable by convention: no method mutates ``coeffs`` after
     construction, so instances may be shared freely across threads.
     """
@@ -157,21 +162,13 @@ class Combination:
         return cls(m, {tuple(exps): c})
 
     @classmethod
-    def variable(cls, m: int, idx: int):
-        """Variable by flat index: ``PREFIXES[s]`` i is index ``s*m + i - 1``."""
-        size = len(cls.PREFIXES) * m
-        if not 0 <= idx < size:
-            raise ValueError(f"variable index {idx} out of range for m={m}")
-        exps = [0] * size
-        exps[idx] = 1
-        return cls.monomial(m, exps)
-
-    @classmethod
     def _single(cls, m: int, slot: int, i: int):
         """The variable ``PREFIXES[slot]`` i, with 1-based i."""
         if not 1 <= i <= m:
             raise ValueError(f"index {i} out of range for m={m}")
-        return cls.variable(m, slot * m + i - 1)
+        exps = [0] * (len(cls.PREFIXES) * m)
+        exps[slot * m + i - 1] = 1
+        return cls.monomial(m, exps)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -181,23 +178,18 @@ class Combination:
 
     def _plus(self, other, scale):
         if not isinstance(other, type(self)):
-            other = self.constant(self.m, other)
+            return NotImplemented
         self._check_same_size(other)
         return type(self)(self.m, add_into(dict(self.coeffs), other.coeffs.items(), scale))
 
     def __add__(self, other):
         return self._plus(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self * -1
 
     def __sub__(self, other):
         return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return self.constant(self.m, other) - self
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
@@ -222,18 +214,9 @@ class Combination:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.m == other.m and self.coeffs == other.coeffs
-        try:
-            return self.coeffs == self.constant(self.m, other).coeffs
-        except (TypeError, ValueError):
+        if not isinstance(other, type(self)):
             return NotImplemented
-
-    def __hash__(self):
-        # a constant equals its scalar (see __eq__), so it hashes like one
-        if len(self.coeffs) <= 1 and self.coeffs.keys() <= {self._unit(self.m)}:
-            return hash(sum(self.coeffs.values()))
-        return hash((self.m, frozenset(self.coeffs.items())))
+        return self.m == other.m and self.coeffs == other.coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -222,9 +222,9 @@ def module_pv_identity(order: int) -> tuple[Series, int, list]:
             sub_count = nodemodule.dim_submodule(n, 2 * j)
             quo_count = nodemodule.dim_piece(n, 2 * j)
             if ambient[n][j] != amb_count:
-                mismatches.append(["ambient", n, j, str(ambient[n][j]), amb_count])
+                mismatches.append(["ambient", n, j, ambient[n][j], amb_count])
             if sub[n][j] != sub_count:
-                mismatches.append(["submodule", n, j, str(sub[n][j]), sub_count])
+                mismatches.append(["submodule", n, j, sub[n][j], sub_count])
             if diff[n][j] != quo_count:
-                mismatches.append(["quotient", n, j, str(diff[n][j]), quo_count])
+                mismatches.append(["quotient", n, j, diff[n][j], quo_count])
     return diff, bound, mismatches

@@ -6,10 +6,11 @@ dy_i = d/dy_i, subject to [dx_i, x_i] = [dy_i, y_i] = 1 with all other
 pairs commuting.  Elements are stored in normal form: every word is a sum
 of monomials x^a y^b dx^g dy^d (all position operators before all
 derivations), keyed like a polynomial in 4m commuting exponents by one flat
-tuple a + b + g + d.  ``WeylOp`` takes its keys, sums, scalars, powers,
-equality and text form from ``exact.Combination`` and supplies only its
-variable prefixes and the product of two normal monomials, which is the
-closed form of the rewriting rule du*u -> u*du + 1,
+tuple a + b + g + d.  ``WeylOp`` takes its keys, sums, scalar multiples,
+powers, equality and text form from ``exact.Combination``: sums take
+operators only, and equality is by content, within the class.  It supplies
+only its variable prefixes and the product of two normal monomials, which
+is the closed form of the rewriting rule du*u -> u*du + 1,
 
     dx^g x^a = sum_j C(g, j) * a!/(a-j)! * x^(a-j) dx^(g-j),
 
@@ -21,8 +22,9 @@ On top of the Weyl algebra this module realizes the subalgebra generated by
     x_1..x_m,  dy_1..dy_m,  mu_plus = y_1 + ... + y_m,  mu_minus = dx_1 + ... + dx_m,
 
 whose defining commutators are [dy_i, mu_plus] = [mu_minus, x_i] = 1 with
-every other pair of generators commuting.  ``defining_relations`` states
-them once, for ``verify_relations`` and ``nodemodule.relation_matrix_checks``.
+every other pair of generators commuting.  ``generators(m)`` is the one
+constructor of the generators.  ``defining_relations`` states the relations
+once, for ``verify_relations`` and ``nodemodule.relation_matrix_checks``.
 It still lists [x_i,x_j] and [d_i,d_j] with j <= i, which cannot fail; when
 it keeps only j > i, ``relation_matrix_checks`` drops its settling branch.
 
@@ -51,28 +53,15 @@ if TYPE_CHECKING:
 GENERATOR_BIDEGREES = {"x": (1, 0), "d": (-1, -2), "mu+": (1, 2), "mu-": (-1, 0)}
 
 
-class _GeneratorFields(NamedTuple):
-    kind: str
-    index: int | None = None
-
-
-class Generator(_GeneratorFields):
+class Generator(NamedTuple):
     """One of the distinguished operators: x_i, d_i, mu_plus or mu_minus.
 
     ``kind`` is "x", "d", "mu+" or "mu-"; ``index`` is 1-based and None for
-    the two mu operators.
+    the two mu operators.  :func:`generators` is their one constructor.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, kind: str, index: int | None = None):
-        if kind not in GENERATOR_BIDEGREES:
-            raise ValueError(f"unknown generator kind {kind!r}")
-        if kind in ("x", "d") and (index is None or index < 1):
-            raise ValueError(f"generator {kind} needs a positive index")
-        if kind in ("mu+", "mu-") and index is not None:
-            raise ValueError(f"generator {kind} takes no index")
-        return super().__new__(cls, kind, index)
+    kind: str
+    index: int | None = None
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -97,8 +86,10 @@ class WeylOp(Combination):
     exponents of x, then of y, of dx and of dy -- to a nonzero exact
     coefficient (``int`` where integral, else ``Fraction``).  Variable i
     (0 <= i < 2m) of ``Poly`` meets its derivation in slot 2m + i.  Sums,
-    scalars, powers and equality are those of :class:`exact.Combination`;
-    the product of two normal monomials is the closed form :func:`_mono_mul`.
+    scalar multiples, powers and equality are those of
+    :class:`exact.Combination`: sums take another ``WeylOp`` only, and
+    equality is by content.  The product of two normal monomials is the
+    closed form :func:`_mono_mul`.
     """
 
     __slots__ = ()
@@ -264,27 +255,12 @@ class SubalgebraWord(NamedTuple):
     def to_weyl(self, m: int) -> WeylOp:
         if len(self.alpha) != m or len(self.delta) != m:
             raise ValueError(f"word has wrong ambient size for m={m}")
-        mup = generator_element(Generator("mu+"), m)
-        mum = generator_element(Generator("mu-"), m)
+        mup, mum = (generator_element(g, m) for g in generators(m)[2 * m :])
         # multiply in normal order: x^alpha * mu+^s * dy^delta * mu-^r
         zeros = (0,) * (3 * m)
         out = WeylOp.monomial(m, (*self.alpha, *zeros)) * mup**self.s
         out = out * WeylOp.monomial(m, (*zeros, *self.delta))
         return out * mum**self.r
-
-    def __str__(self):
-        bits = []
-        for i, e in enumerate(self.alpha):
-            if e:
-                bits.append(f"x{i + 1}" + (f"^{e}" if e > 1 else ""))
-        if self.s:
-            bits.append("mu+" + (f"^{self.s}" if self.s > 1 else ""))
-        for i, e in enumerate(self.delta):
-            if e:
-                bits.append(f"d{i + 1}" + (f"^{e}" if e > 1 else ""))
-        if self.r:
-            bits.append("mu-" + (f"^{self.r}" if self.r > 1 else ""))
-        return "*".join(bits) if bits else "1"
 
 
 def subalgebra_membership(w: WeylOp) -> dict[SubalgebraWord, int | Fraction] | None:

@@ -68,7 +68,7 @@ def test_series_suite_catches_a_division_one_factor_short(capsys, monkeypatch):
     for label in ("mayer-vietoris", "paving"):
         entry = series_check(report, f"closed-form-equals-{label}")
         assert entry["status"] == "fail" and entry["first_difference"] == [1, 1]
-    first_two = [["ambient", 1, 1, "1", 2], ["quotient", 1, 1, "1", 2]]
+    first_two = [["ambient", 1, 1, 1, 2], ["quotient", 1, 1, 1, 2]]
     assert enumeration_mismatches(report)[:2] == first_two
 
 
@@ -349,7 +349,7 @@ def test_node_suite_catches_a_wrong_dimension(capsys, monkeypatch):
 def test_node_suite_catches_a_lost_second_branch(capsys, monkeypatch):
     # every y_i is y1: y2 (x1 - x2) no longer differs from y1 (x1 - x2), and
     # (y1 + y2)(x1 - x2) = 2 y1 (x1 - x2) leaves U
-    monkeypatch.setattr(Poly, "y", classmethod(lambda cls, m, i: cls.variable(m, m)))
+    monkeypatch.setattr(Poly, "y", classmethod(lambda cls, m, i: cls._single(m, 1, 1)))
     code, report = verify(capsys, "node", "--n-max", "6")
     assert code == 1
     assert only_failing_check(report) == "no-extension-witness"
@@ -386,7 +386,7 @@ def test_series_suite_catches_a_widened_pivot_rule(capsys, monkeypatch, fresh_ca
         c for c in identity["detail"] if c["check"].startswith("series-match-enumerated-dimensions")
     ]
     assert enumerated["status"] == "fail"
-    assert ["quotient", 2, 1, "3", 2] in enumerated["mismatches"]
+    assert ["quotient", 2, 1, 3, 2] in enumerated["mismatches"]
     assert all(m[0] == "quotient" for m in enumerated["mismatches"])
 
 
@@ -484,7 +484,7 @@ def enumeration_mismatches(report):
 
 @pytest.mark.parametrize(
     "counter, expected",
-    [("dim_ambient", ["ambient", 3, 1, "6", 7]), ("dim_submodule", ["submodule", 3, 1, "2", 3])],
+    [("dim_ambient", ["ambient", 3, 1, 6, 7]), ("dim_submodule", ["submodule", 3, 1, 2, 3])],
 )
 def test_series_suite_catches_a_miscounted_factor(capsys, monkeypatch, counter, expected):
     # one monomial or generator too many at (3, 2): the quotient count comes
@@ -525,7 +525,7 @@ def test_series_suite_enumerates_up_to_its_bound(capsys, monkeypatch):
     assert code == 1 and only_failing_check(report) == "module-series-identity"
     detail = series_check(report, "module-series-identity")["detail"]
     assert detail[1]["check"] == f"series-match-enumerated-dimensions-to-n={bound}"
-    assert detail[1]["mismatches"] == [["quotient", bound, 1, str(real(bound, 2)), real(bound, 2) + 1]]
+    assert detail[1]["mismatches"] == [["quotient", bound, 1, real(bound, 2), real(bound, 2) + 1]]
 
 
 def test_relations_suite_catches_a_dy_built_as_dx(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from nodehilb import exact, nodemodule
+from nodehilb import exact, geometry, nodemodule, series
 from nodehilb.cli import main
 from nodehilb.exact import Poly
 from nodehilb.nodemodule import (
@@ -32,7 +32,7 @@ from nodehilb.nodemodule import (
     relation_matrix_checks,
     u_generator_exponents,
 )
-from nodehilb.weyl import Generator, generators
+from nodehilb.weyl import Generator, SubalgebraWord, WeylOp, generators
 from oracles import (
     poly_dim_submodule,
     poly_generation_checks,
@@ -544,3 +544,35 @@ class TestNodeClass:
     def test_str(self):
         cls = reduce_poly(Y1, (1, 2))
         assert str(cls) == "[y1] @ (n=1, d=2)"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Poly.x(2, 1) ** -1,
+        lambda: WeylOp.x(2, 1).act(Poly.x(3, 1)),
+        lambda: SubalgebraWord((1,), 0, (0,), 0).to_weyl(2),
+        lambda: geometry.coh_basis(2, 3),
+        lambda: geometry.mv_dimensions(-1),
+        lambda: geometry.paving_cells(-1),
+        lambda: series.paving_row(-1),
+        lambda: reduce_poly(Poly.x(2, 1), (2, 0)),
+    ],
+    ids=[
+        "negative-power",
+        "act-across-sizes",
+        "word-of-wrong-size",
+        "coh-basis-past-n",
+        "mv-dimensions-below-0",
+        "paving-cells-below-0",
+        "paving-row-below-0",
+        "reduce-into-wrong-grade",
+    ],
+)
+def test_library_guards_reject_bad_input(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_u_generators_outside_the_grades_are_none():
+    assert u_generator_exponents(3, 3) == u_generator_exponents(3, -2) == []

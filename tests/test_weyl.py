@@ -192,14 +192,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generator_element(Generator("x", 3), 2)
 
-    def test_bad_tags(self):
-        with pytest.raises(ValueError):
-            Generator("q", 1)
-        with pytest.raises(ValueError):
-            Generator("x")
-        with pytest.raises(ValueError):
-            Generator("mu+", 1)
-
     def test_generator_list(self):
         gens = generators(2)
         assert [str(g) for g in gens] == ["x1", "x2", "d1", "d2", "mu+", "mu-"]
