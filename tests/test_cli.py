@@ -14,6 +14,7 @@ import nodehilb
 from nodehilb import cli, geometry, nodemodule, series
 from nodehilb.cli import main
 from nodehilb.weyl import Generator
+from callgraph import CallGraph
 from conftest import clear_node_caches
 
 KNOWN_TABLE = "1\n1 2\n1 3 3\n1 4 5 4\n1 5 7 7 5\n1 6 9 10 9 6\n"
@@ -595,16 +596,7 @@ class TestPublicSurface:
     def test_the_package_import_graph(self):
         # each module's relative imports, wherever they stand in it: a new
         # edge between two modules has to be made here too
-        graph = {}
-        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-            if path.stem == "__init__":
-                continue
-            graph[path.stem] = {
-                node.module or alias.name
-                for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.ImportFrom) and node.level
-                for alias in node.names
-            }
+        graph = {m: found for m, found in CallGraph().imports.items() if m != "__init__"}
         assert graph == {
             "exact": set(),
             "weyl": {"exact"},

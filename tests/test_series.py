@@ -1,13 +1,10 @@
 """Truncated bivariate series and the identities between the four routes."""
 
-import ast
-import inspect
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from nodehilb import series
 from nodehilb.nodemodule import betti_table
 from nodehilb.series import (
     ambient_module_pv,
@@ -226,49 +223,6 @@ class TestInclusionExclusion:
             s = mv_pv(order)
             assert s == box_count_mv_pv(order), order
             assert all(type(v) is int for row in s for v in row), order
-
-
-def reached(roots: set) -> set:
-    """Names in ``series`` that ``roots`` reach, read off the source.
-
-    A name or attribute that names a function reaches it.
-    """
-    tree = ast.parse(inspect.getsource(series))
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-    def callees(func):
-        out = set()
-        for n in ast.walk(func):
-            if isinstance(n, ast.Name):
-                out |= {n.id} & defs.keys()
-            elif isinstance(n, ast.Attribute):
-                out |= {n.attr} & defs.keys()
-        return out
-
-    seen, todo = set(), list(roots)
-    while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen.add(name)
-            todo.extend(callees(defs[name]))
-    return seen
-
-
-MV_ROUTE = {"mv_pv", "_add_box", "_component_masses", "_running_sums"}
-
-
-class TestRouteIndependence:
-    # two routes that share code do not check each other
-
-    def test_mayer_vietoris_reaches_no_other_route(self):
-        assert MV_ROUTE <= reached({"mv_pv"})
-        shared = reached(MV_ROUTE) & {"expand", "closed_form", "paving_pv"}
-        assert not shared, shared
-
-    def test_paving_reaches_no_mayer_vietoris_code(self):
-        assert "paving_row" in reached({"paving_pv"})
-        shared = reached({"paving_pv"}) & (MV_ROUTE | {"intersection_poincare", "expand", "closed_form"})
-        assert not shared, shared
 
 
 class TestPavingRoute:
