@@ -28,11 +28,13 @@ is graded lexicographic with x1 > x2 > ... > xm > y1 > ... > ym; it is used
 for canonical printing and for pivot selection in coset reductions, so all
 output is deterministic.
 
-Linear algebra (row reduction and kernels) runs through one sparse
-elimination core on integer rows ``{column: int}``: rational rows are
-scaled to integers first, rows are combined fraction-free as ``a*r - b*p``
-and divided by the gcd of their entries (Bareiss, Math. Comp. 22, 1968), and
-only the read-out of the reduced form divides by the pivots; rank skips it.
+Linear algebra (rank, row reduction and kernels) takes one matrix format,
+a sequence of sparse rows ``{column: value}``, and runs through one
+elimination core on integer rows: rational rows are scaled to integers
+first, rows are combined fraction-free as ``a*r - b*p`` and divided by the
+gcd of their entries (Bareiss, Math. Comp. 22, 1968).  Only :func:`rref`
+divides by the pivots; :func:`kernel_basis` reads its vectors off ``rref``
+and :func:`rank` skips the read-out.
 """
 
 from __future__ import annotations
@@ -44,15 +46,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 Monomial = tuple  # flat exponent tuple: m entries per prefix of its class
-
-
-def frac_str(x) -> str:
-    """Render an exact number as ``p`` or ``p/q`` (never a float)."""
-    if type(x) is int:
-        return str(x)
-    from fractions import Fraction
-
-    return str(Fraction(x))
 
 
 def monomial_key(exps: Monomial):
@@ -235,11 +228,11 @@ class Combination:
             mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
             a = abs(c)
             if not mono:
-                body = frac_str(a)
+                body = str(a)
             elif a == 1:
                 body = mono
             else:
-                body = f"{frac_str(a)}*{mono}"
+                body = f"{a}*{mono}"
             if out:
                 out += f" {'-' if c < 0 else '+'} {body}"
             else:
@@ -371,80 +364,58 @@ def _reduce(pivots: dict[int, dict]) -> list[tuple[int, dict]]:
     return sorted(done.items())
 
 
-def _normalise(mat, ncols: int | None) -> tuple[Sequence[dict], int | None, bool]:
-    """Integer rows, column count and whether the input was dense.
+def _int_rows(mat: Sequence[dict]) -> list[dict]:
+    """The rows of ``mat`` as ``{column: int}`` rows with no zero entry.
 
-    A sparse matrix whose entries are all nonzero ``int``s (``bool`` is not)
-    is used as it is, without a copy or a gcd pass: ``_echelon`` never
-    mutates a row, and neither the rank nor the read-out, which divides by
-    the pivots, needs a primitive row.  Any other matrix has every row
-    converted.
+    A row whose entries are all nonzero ``int``s (``bool`` is not) is kept
+    as it is, without a copy or a gcd pass: ``_echelon`` never mutates a
+    row, and neither the rank nor the read-out, which divides by the
+    pivots, needs a primitive row.  Any other row goes through
+    :func:`_int_row`, so an explicit zero or a ``bool`` never becomes a pivot.
     """
-    if not mat:
-        return [], ncols or 0, True
-    if not isinstance(mat[0], dict):
-        if ncols is None:
-            ncols = len(mat[0])
-        return [_int_row(enumerate(r)) for r in mat], ncols, True
-    if all(type(v) is int and v for r in mat for v in r.values()):
-        return mat, ncols, False
-    return [_int_row(r.items()) for r in mat], ncols, False
+    return [r if all(type(v) is int and v for v in r.values()) else _int_row(r.items()) for r in mat]
 
 
-def rref(mat) -> tuple[list, list[int]]:
+def rref(mat: Sequence[dict]) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns).
 
-    ``mat`` is a sequence of rows, each a dense sequence or a sparse
-    ``{column: value}`` dict; the input is not modified.  The reduced rows
-    come back in the same form, one per input row, zero rows last: dense
-    rows as lists of Fraction, sparse rows as dicts of nonzero Fractions.
+    ``mat`` is a sequence of sparse rows ``{column: value}``; the input is
+    not modified.  The reduced rows come back one per input row, zero rows
+    last, as dicts of nonzero Fractions.  The one read-out that divides by
+    the pivots.
     """
     from fractions import Fraction
 
-    rows, ncols, dense = _normalise(mat, None)
-    reduced = _reduce(_echelon(rows, ncols))
-    zero_rows = len(rows) - len(reduced)
-    if dense:
-        out = [[Fraction(row.get(c, 0), row[col]) for c in range(ncols)] for col, row in reduced]
-        out += [[Fraction(0)] * ncols for _ in range(zero_rows)]
-    else:
-        out = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in reduced]
-        out += [{} for _ in range(zero_rows)]
+    rows = _int_rows(mat)
+    reduced = _reduce(_echelon(rows, None))
+    out = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in reduced]
+    out += [{} for _ in range(len(rows) - len(reduced))]
     return out, [col for col, _ in reduced]
 
 
-def rank(mat, ncols: int | None = None) -> int:
-    """Exact rank by forward elimination alone, stopping early given ``ncols``."""
-    rows, ncols, _ = _normalise(mat, ncols)
-    return len(_echelon(rows, ncols))
+def rank(mat: Sequence[dict], ncols: int) -> int:
+    """Exact rank of sparse rows by forward elimination alone, stopping early at ``ncols``."""
+    return len(_echelon(_int_rows(mat), ncols))
 
 
-def kernel_basis(mat, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Exact null-space basis of a matrix; empty list iff injective.
+def kernel_basis(mat: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Exact null-space basis of sparse rows over ``ncols`` columns; empty list iff injective.
 
-    Accepts a sequence of rows, dense or sparse as for
-    :func:`rref`; sparse rows need ``ncols``.  One basis vector per free
-    column, with a 1 in the free position (deterministic order).
+    One basis vector per free column, with a 1 in the free position
+    (deterministic order), read off the reduced rows of :func:`rref`.  A
+    full-rank matrix is answered by :func:`rank` alone, without a Fraction.
     """
-    rows, ncols, _ = _normalise(mat, ncols)
-    if ncols is None:
-        raise ValueError("sparse rows need an explicit column count")
-    pivots = _echelon(rows, ncols)
-    if len(pivots) == ncols:
+    if rank(mat, ncols) == ncols:
         return []
-    reduced = _reduce(pivots)
     from fractions import Fraction
 
-    zero = Fraction(0)
+    reduced, pivots = rref(mat)
     basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [zero] * ncols
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for col, row in reduced:
-            v = row.get(fc)
-            if v:
-                vec[col] = Fraction(-v, row[col])
+        for row, col in zip(reduced, pivots):
+            if fc in row:
+                vec[col] = -row[fc]
         basis.append(tuple(vec))
     return basis

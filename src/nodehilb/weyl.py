@@ -249,9 +249,6 @@ class SubalgebraWord(NamedTuple):
     delta: tuple
     r: int
 
-    def degree(self) -> int:
-        return sum(self.alpha) + self.s + sum(self.delta) + self.r
-
     def to_weyl(self, m: int) -> WeylOp:
         if len(self.alpha) != m or len(self.delta) != m:
             raise ValueError(f"word has wrong ambient size for m={m}")

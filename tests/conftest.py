@@ -19,7 +19,7 @@ def ranked(monkeypatch):
 
     calls = []
     real = exact.rank
-    monkeypatch.setattr(exact, "rank", lambda mat, ncols=None: calls.append(mat) or real(mat, ncols))
+    monkeypatch.setattr(exact, "rank", lambda mat, ncols: calls.append(mat) or real(mat, ncols))
     return calls
 
 

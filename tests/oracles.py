@@ -1,9 +1,8 @@
 """Reference routes and random inputs that only tests use.
 
-``solve_columns`` and ``span_solve`` decide span membership by a dense
+``solve_columns`` and ``span_solve`` decide span membership by a sparse
 linear solve through :func:`nodehilb.exact.rref`; the package itself needs
 no linear solve, since its membership test reads coefficients off.
-``RatMatrix`` is the dense matrix the older tests were written against.
 ``u_preservation_checks`` acts by every generator on random rational
 elements of the node's submodule U and checks that the result reduces to 0.
 ``sorted_piece_monomials`` lists the monomials of one piece by sorting them
@@ -27,12 +26,11 @@ the images of the basis classes, over the full target bases, for
 the kernel.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from nodehilb.exact import Poly, kernel_basis, monomial_key, rank, rref
+from nodehilb.exact import Poly, monomial_key, rank, rref
 from nodehilb.geometry import CohElem, coh_basis, pullback_x1, pullback_x2
 from nodehilb.nodemodule import (
     M,
@@ -62,56 +60,26 @@ def sorted_piece_monomials(n: int, d: int) -> list[tuple]:
     return sorted(monos, key=monomial_key, reverse=True)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense matrix of rationals; rows is a tuple of row tuples."""
+def solve_columns(columns: Sequence[dict], rhs: dict) -> list[Fraction] | None:
+    """Solve A c = rhs, where A has the given sparse columns; None if inconsistent.
 
-    rows: tuple
-    nrows: int
-    ncols: int
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], ncols: int | None = None) -> "RatMatrix":
-        rs = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if rs:
-            ncols = len(rs[0])
-            if any(len(r) != ncols for r in rs):
-                raise ValueError("ragged rows")
-        elif ncols is None:
-            ncols = 0
-        return cls(rs, len(rs), ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_rows(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-            ncols=n,
-        )
-
-    def kernel_basis(self):
-        return kernel_basis(list(self.rows), self.ncols)
-
-    def rank(self) -> int:
-        return len(rref(list(self.rows))[1])
-
-
-def solve_columns(columns: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """Solve A c = rhs where A has the given columns; None if inconsistent.
-
-    Free coordinates of the solution are set to zero.
+    Each column and ``rhs`` map row keys to values, as the ``coeffs`` of a
+    polynomial or Weyl operator do; a missing key is a zero.  Free
+    coordinates of the solution are set to zero.
     """
     ncols = len(columns)
-    nrows = len(rhs)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(rhs[i])]
-        for i in range(nrows)
-    ]
+    aug = []
+    for key in sorted(set(rhs).union(*columns)):
+        row = {j: col[key] for j, col in enumerate(columns) if key in col}
+        if key in rhs:
+            row[ncols] = rhs[key]
+        aug.append(row)
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
     sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][ncols]
+    for row, pc in zip(red, pivots):
+        sol[pc] = row.get(ncols, Fraction(0))
     return sol
 
 
@@ -134,14 +102,7 @@ def span_solve(vectors: Sequence[Poly], target: Poly) -> list[Fraction] | None:
             degs.add(d)
     if len(degs) > 1:
         raise ValueError(f"inputs span several bidegrees: {sorted(degs)}")
-    support = sorted(
-        {e for p in vectors for e in p.coeffs} | set(target.coeffs),
-        key=monomial_key,
-        reverse=True,
-    )
-    columns = [[p.coeffs.get(e, 0) for e in support] for p in vectors]
-    rhs = [target.coeffs.get(e, 0) for e in support]
-    return solve_columns(columns, rhs)
+    return solve_columns([p.coeffs for p in vectors], target.coeffs)
 
 
 def u_generator_poly(a: int, b: int, s: int) -> Poly:

@@ -565,16 +565,16 @@ class TestProcessEntry:
         # about 1 MB of json, far more than a pipe holds, so the child is
         # still writing when the reader closes its end
         argv = ["paving", "--n", "40", "--format", "json"]
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "nodehilb.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**child_env(), **unbuffered},
-        )
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert (proc.wait(), stderr) == (141, b"")
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert (proc.returncode, stderr) == (141, b"")
 
     # GC-off rests on this: a run leaves the same cyclic garbage (argparse's
     # parser graph) whatever its bound, so no piece or cache entry makes cycles

@@ -4,9 +4,11 @@
 package used before its integer core; it shares no code with
 ``nodehilb.exact``.  The reduced row echelon form and the free-column
 normalised kernel basis of a matrix are unique, so both routes must agree
-exactly on every input, dense or sparse.  The same oracle row-reduces the
-spanning set of the node's submodule U, against which the closed-form pivot
-rule and normal form of ``nodehilb.nodemodule`` are checked.
+exactly on every input: the oracle takes the dense rows and the package the
+sparse rows ``{column: value}`` of the same matrix.  The same oracle
+row-reduces the spanning set of the node's submodule U, against which the
+closed-form pivot rule and normal form of ``nodehilb.nodemodule`` are
+checked.
 """
 
 import random
@@ -123,16 +125,10 @@ def test_rref_and_kernel_match_dense_oracle(chunk):
     for rows in MATRICES[chunk::5]:
         ncols = len(rows[0]) if rows else 0
         want_rows, want_pivots = dense_rref([list(r) for r in rows])
-        want_kernel = dense_kernel(rows, ncols)
-
-        got_rows, got_pivots = rref([list(r) for r in rows])
-        assert (got_rows, got_pivots) == (want_rows, want_pivots)
-        assert all(type(v) is Fraction for row in got_rows for v in row)
-        assert kernel_basis([list(r) for r in rows]) == want_kernel
-
         got_rows, got_pivots = rref(sparse(rows))
         assert (got_rows, got_pivots) == (sparse(want_rows), want_pivots)
-        assert kernel_basis(sparse(rows), ncols) == want_kernel
+        assert all(type(v) is Fraction for row in got_rows for v in row.values())
+        assert kernel_basis(sparse(rows), ncols) == dense_kernel(rows, ncols)
 
 
 @pytest.mark.parametrize("chunk", range(5))
@@ -140,34 +136,35 @@ def test_rank_matches_dense_oracle(chunk):
     for rows in MATRICES[chunk::5]:
         ncols = len(rows[0]) if rows else 0
         want = len(dense_rref([list(r) for r in rows])[1])
-        assert rank([list(r) for r in rows]) == want == len(rref(rows)[1])
-        assert rank(sparse(rows), ncols) == want == rank(sparse(rows))
-        assert rank(sparse(rows), ncols) + len(kernel_basis(sparse(rows), ncols)) == ncols
+        # ncols + 1 columns are never all pivots, so that rank eliminates every row
+        assert rank(sparse(rows), ncols) == want == rank(sparse(rows), ncols + 1)
+        assert want + len(kernel_basis(sparse(rows), ncols)) == ncols
 
 
 def test_rank_of_empty_and_zero_matrices():
-    assert rank([]) == 0 and rank([], 3) == 0
-    assert rank([[0] * 4]) == 0
+    assert rank([], 0) == 0 and rank([], 3) == 0
+    assert rank([{}], 4) == 0
     assert rank([{}, {}], 3) == 0
 
 
 def test_rank_stops_once_every_column_has_a_pivot(monkeypatch):
     # the identity fills every column, so the two extra rows are never
-    # cancelled when the column count is known
+    # cancelled; over a fourth column, which no row fills, they are
     calls = []
     real = exact._cancel
     monkeypatch.setattr(exact, "_cancel", lambda *a: calls.append(1) or real(*a))
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, -1, 5]]
-    assert rank(rows) == 3 and rank(sparse(rows), 3) == 3
+    rows = sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, -1, 5]])
+    assert rank(rows, 3) == 3
     assert not calls
-    assert rank(sparse(rows)) == 3
+    assert rank(rows, 4) == 3
     assert calls
 
 
 def test_input_rows_are_not_modified():
-    rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
+    rows = [{0: Fraction(2), 1: Fraction(4)}, {0: 1, 1: 2}]
     rref(rows)
-    assert rows == [[2, 4], [1, 3]]
+    kernel_basis(rows, 2)
+    assert rows == [{0: 2, 1: 4}, {0: 1, 1: 2}]
 
 
 def int_sparse(rows) -> list[dict]:
@@ -188,7 +185,7 @@ def test_int_rows_skip_the_conversion_and_match_dense_oracle(monkeypatch):
         want_rows, want_pivots = dense_rref([list(r) for r in rows])
         assert rref(mat) == (sparse(want_rows), want_pivots)
         assert kernel_basis(mat, ncols) == dense_kernel(rows, ncols)
-        assert rank(mat, ncols) == len(want_pivots) == rank(mat)
+        assert rank(mat, ncols) == len(want_pivots) == rank(mat, ncols + 1)
         assert mat == before
 
 
@@ -197,9 +194,13 @@ def test_int_rows_skip_the_conversion_and_match_dense_oracle(monkeypatch):
     [{0: Fraction(1, 2), 2: Fraction(3)}, {0: True, 1: True}, {1: 0, 2: 3}],
     ids=["fraction", "bool", "explicit-zero"],
 )
-def test_one_odd_row_among_int_rows_keeps_the_dense_oracle(odd):
-    # one entry that is not a nonzero int sends every row through _int_row;
-    # the rank and the reduced form are still the dense oracle's
+def test_one_odd_row_among_int_rows_keeps_the_dense_oracle(odd, monkeypatch):
+    # one entry that is not a nonzero int sends its row, and only that row,
+    # through _int_row; the rank and the reduced form are still the dense
+    # oracle's
+    converted = []
+    real = exact._int_row
+    monkeypatch.setattr(exact, "_int_row", lambda items: converted.append(1) or real(items))
     rng = random.Random(20261019)
     integral = [m for m in MATRICES if m and all(v.denominator == 1 for row in m for v in row)]
     for rows in integral:
@@ -210,7 +211,10 @@ def test_one_odd_row_among_int_rows_keeps_the_dense_oracle(odd):
         mat.insert(at, odd)
         dense = rows[:at] + [[Fraction(odd.get(c, 0)) for c in range(ncols)]] + rows[at:]
         want_rows, want_pivots = dense_rref(dense)
-        assert rank(mat, ncols) == len(want_pivots) == rank(mat)
+        converted.clear()
+        assert rank(mat, ncols) == len(want_pivots)
+        assert converted == [1]
+        assert rank(mat, ncols + 1) == len(want_pivots)
         assert rref(mat) == (sparse(want_rows), want_pivots)
 
 
@@ -233,12 +237,14 @@ def test_rank_of_other_rows_equals_the_int_row_route(rows):
     want = len(exact._echelon([exact._int_row(r.items()) for r in rows], ncols))
     dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
     assert want == len(dense_rref([[Fraction(v) for v in r] for r in dense])[1])
-    assert rank(rows, ncols) == want == rank(rows)
+    assert rank(rows, ncols) == want == rank(rows, ncols + 1)
 
 
 def test_sparse_kernel_needs_column_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         kernel_basis([{0: 1}])
+    with pytest.raises(TypeError):
+        rank([{0: 1}])
     assert kernel_basis([], 2) == [(1, 0), (0, 1)]
 
 

@@ -295,14 +295,9 @@ def exhaustive_membership(w):
         for s in exps:
             for delta in itertools.product(exps, repeat=m):
                 for r in exps:
-                    word = SubalgebraWord(alpha, s, delta, r)
-                    if word.degree() <= bound:
-                        candidates.append(word)
-    expansions = [wd.to_weyl(m) for wd in candidates]
-    support = sorted({key for e in expansions for key in e.coeffs} | set(w.coeffs))
-    columns = [[e.coeffs.get(k, Fraction(0)) for k in support] for e in expansions]
-    rhs = [w.coeffs.get(k, Fraction(0)) for k in support]
-    sol = solve_columns(columns, rhs)
+                    if sum(alpha) + s + sum(delta) + r <= bound:
+                        candidates.append(SubalgebraWord(alpha, s, delta, r))
+    sol = solve_columns([wd.to_weyl(m).coeffs for wd in candidates], w.coeffs)
     if sol is None:
         return None
     return {wd: c for wd, c in zip(candidates, sol) if c != 0}
@@ -374,7 +369,7 @@ class TestSubalgebraMembership:
     def test_word_expansion_is_bernstein_homogeneous(self):
         word = SubalgebraWord((1, 0), 2, (0, 1), 1)
         op = word.to_weyl(2)
-        assert {sum(key) for key in op.coeffs} == {word.degree()}
+        assert {sum(key) for key in op.coeffs} == {sum(word.alpha) + word.s + sum(word.delta) + word.r}
 
     def test_against_exhaustive_oracle(self):
         rng = random.Random(1414)
