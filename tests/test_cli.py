@@ -1,11 +1,13 @@
 """Command line: golden outputs, formats, determinism, exit codes."""
 
+import argparse
 import ast
 import gc
 import hashlib
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -406,6 +408,87 @@ class TestVerifyFlagsPerSuite:
         assert json.loads(out)["reports"][0]["parameters"] == {"order": 30}
 
 
+# sha256 of stdout and the exit code of every subcommand in every --format it
+# accepts, at small bounds, recorded before reports were streamed line by line
+OUTPUT_DIGESTS = [
+    ("betti --n-max 5 --format plain", 0, "f500959839594661334471f163f655b5363320b306053311beb3c9f557d2c944"),
+    ("betti --n-max 5 --format csv", 0, "df8d4b69382b0764c520f7f7d9d89623c4641e10b1c8247b45936b1e9a9fc4fd"),
+    ("betti --n-max 5 --format json", 0, "84d67996062d4a98c1321dfffde34a9ae8077b7aad340d96f0de5c15aecf1433"),
+    ("series --which closed --order 8 --format plain", 0, "14fccbd8e1ed086886eff71c0125a1a9a81a62844ea3000a9c524e6702cbd102"),
+    ("series --which closed --order 8 --format csv", 0, "b22ece6cdda2b2d15e30d7487eeceefe39f5e2f4e3a3ee69d0ad4935b66a63d1"),
+    ("series --which closed --order 8 --format json", 0, "2525bbb5caaafce748fd4acf573f8ac90d565b52fe98cb463d5fa6cdad9128a2"),
+    ("series --which mv --order 8 --format plain", 0, "14fccbd8e1ed086886eff71c0125a1a9a81a62844ea3000a9c524e6702cbd102"),
+    ("series --which mv --order 8 --format csv", 0, "b22ece6cdda2b2d15e30d7487eeceefe39f5e2f4e3a3ee69d0ad4935b66a63d1"),
+    ("series --which mv --order 8 --format json", 0, "2525bbb5caaafce748fd4acf573f8ac90d565b52fe98cb463d5fa6cdad9128a2"),
+    ("series --which paving --order 8 --format plain", 0, "14fccbd8e1ed086886eff71c0125a1a9a81a62844ea3000a9c524e6702cbd102"),
+    ("series --which paving --order 8 --format csv", 0, "b22ece6cdda2b2d15e30d7487eeceefe39f5e2f4e3a3ee69d0ad4935b66a63d1"),
+    ("series --which paving --order 8 --format json", 0, "2525bbb5caaafce748fd4acf573f8ac90d565b52fe98cb463d5fa6cdad9128a2"),
+    ("series --which module --order 8 --format plain", 0, "14fccbd8e1ed086886eff71c0125a1a9a81a62844ea3000a9c524e6702cbd102"),
+    ("series --which module --order 8 --format csv", 0, "b22ece6cdda2b2d15e30d7487eeceefe39f5e2f4e3a3ee69d0ad4935b66a63d1"),
+    ("series --which module --order 8 --format json", 0, "2525bbb5caaafce748fd4acf573f8ac90d565b52fe98cb463d5fa6cdad9128a2"),
+    ("components --n 3 --m 2 --format plain", 0, "61230db65f9667e5bcf301323e6626631c22f6eede38cfd201aa129a8b452d0e"),
+    ("components --n 3 --m 2 --format json", 0, "4d81b9284b75289490e1091aa48a762efa59e99d1a071343c743d00e1afc30db"),
+    ("components --n 3 --m 3 --format plain", 0, "e3f1fc9f19acbab1b4ac79345362c7d5c63c5950a15eaade6630256b04f4b9cd"),
+    ("components --n 3 --m 3 --format json", 0, "669a6d69d0c275301c821ce8d7ac3c591957028da3b1f76e477ad943577727cc"),
+    ("kernel --n 4 --format plain", 0, "98c3df88882ba4a6e717b7ecfdd0abea5e157b8a05620b7ea9458bcf7596d31f"),
+    ("kernel --n 4 --format json", 0, "6ac1b4fe90a47df065bd775b8884211b3e61be064addd8ac90e3ba59daa7f632"),
+    ("paving --n 4 --format plain", 0, "aefecd38633ee534fc3953f262060c584f672632e770c6a5727e260e4d08f06e"),
+    ("paving --n 4 --format json", 0, "12bd5b3298ce04cc783c691c2a32009f869e9c8c38b58e96f1c7ffb97670b837"),
+    ("verify relations --m 2 --format plain", 0, "ba797aa4cd627c4b853d2936d3e2183fc96e3dbbb72a07ae94553c83a9638dcf"),
+    ("verify relations --m 2 --format json", 0, "a9f7c6c3de0b6dde2d0bd021cc64950d14e04824e32d6b9de83709853de0b9a0"),
+    ("verify node --n-max 3 --format plain", 0, "5ffcf5f58e629c855eff6c6734660d45e4d7de416122076acc0164b78ed0a674"),
+    ("verify node --n-max 3 --format json", 0, "c84c37d7202574c9be76a99c47e2fb73784031e15a6394d6ccb4dd48ca339f9a"),
+    ("verify series --order 6 --format plain", 0, "aea31ab672196ab66658357fda21a236819db7dc3d90a8297e127cd00e4eb47f"),
+    ("verify series --order 6 --format json", 0, "7629e457027e9c45a71308b15027aeee81d20129b479dd66e79a08c19342eb1c"),
+    ("verify kernel --n-max 4 --format plain", 0, "07ad1dd943a7022ceb8b01f9c3385d8d05d124fbff9ea1d92db5880d79e7d1d6"),
+    ("verify kernel --n-max 4 --format json", 0, "49bfc5d46d29df9fcd9a77ba43e7c8f9379ab1aa3b1a8110d105f3fcb82d3ec6"),
+    ("verify all --format plain", 0, "e967651fc60e36a75d4285ebcfb343ba86c4b3932c4f1f7f138f3c163712543d"),
+    ("verify all --format json", 0, "f38d2d70fa8e7f2af15e94cd07806da903ce7fde3672cdc870b53aaba80e6ee8"),
+]
+
+
+class WriteSizes:
+    """A stdout that keeps only the length of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("argv, code, digest", OUTPUT_DIGESTS)
+    def test_bytes_and_exit_code_pinned(self, capsys, monkeypatch, argv, code, digest):
+        monkeypatch.delenv("RUN_SCALE", raising=False)
+        got, out, _ = run(capsys, *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+    # about 1 MB of json and 0.3 MB of plain text, every character written
+    # but never more than 64 KB of it at once
+    @pytest.mark.parametrize("fmt, size", [("json", 1_003_115), ("plain", 288_441)])
+    def test_no_report_is_written_whole(self, monkeypatch, fmt, size):
+        out = WriteSizes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["paving", "--n", "40", "--format", fmt]) == 0
+        assert sum(out.sizes) == size
+        assert max(out.sizes) <= 64 * 1024
+
+    @pytest.mark.parametrize(
+        "lines",
+        [[], [""], ["", ""], ["a"], ["a", ""], ["a", "b"], ["a\n"], ["a\n", ""], ["", "b"]],
+    )
+    def test_plain_lines_keep_the_final_newline_rule(self, capsys, lines):
+        # the joined text, and a newline unless it already ends in one
+        text = "\n".join(lines)
+        cli._emit_lines(iter(lines))
+        assert capsys.readouterr().out == (text if text.endswith("\n") else text + "\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -520,18 +603,25 @@ runpy.run_module("nodehilb.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def cyclic_garbage(argv) -> int:
-    """What ``gc.collect()`` frees after ``main(argv)`` runs with the collector off."""
+@contextmanager
+def collector_off():
+    """Run the body with cold caches and the collector off, as ``cli.entry`` runs ``main``."""
     clear_node_caches()
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        main(argv)
-        return gc.collect()
+        yield
     finally:
         if was_enabled:
             gc.enable()
+
+
+def cyclic_garbage(argv) -> int:
+    """What ``gc.collect()`` frees after ``main(argv)`` runs with the collector off."""
+    with collector_off():
+        main(argv)
+        return gc.collect()
 
 
 class TestProcessEntry:
@@ -560,24 +650,44 @@ class TestProcessEntry:
         assert ast.unparse(stmt.exc.func) == "SystemExit"
         assert target == f"nodehilb.cli:{stmt.exc.args[0].func.id}" == "nodehilb.cli:entry"
 
-    @pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
-    def test_a_reader_that_closes_the_pipe_early_gets_status_141(self, unbuffered):
-        # about 1 MB of json, far more than a pipe holds, so the child is
-        # still writing when the reader closes its end
-        argv = ["paving", "--n", "40", "--format", "json"]
+    @pytest.mark.parametrize(
+        "fmt, unbuffered",
+        [
+            pytest.param("json", {}, id="buffered"),
+            pytest.param("json", {"PYTHONUNBUFFERED": "1"}, id="unbuffered"),
+            pytest.param("plain", {}, id="plain-buffered"),
+            pytest.param("plain", {"PYTHONUNBUFFERED": "1"}, id="plain-unbuffered"),
+        ],
+    )
+    def test_a_reader_that_closes_the_pipe_early_gets_status_141(self, fmt, unbuffered):
+        # about 1 MB of json or 0.3 MB of plain text, far more than a pipe
+        # holds, so the child is still writing when the reader closes its end
+        argv = ["paving", "--n", "40", "--format", fmt]
+        first_line = {"json": b"{\n", "plain": b"a=0 b=0 c=40 d=0 dim=0\n"}[fmt]
         with subprocess.Popen(
             [sys.executable, "-m", "nodehilb.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**child_env(), **unbuffered},
         ) as proc:
-            assert proc.stdout.readline() == b"{\n"
+            assert proc.stdout.readline() == first_line
             proc.stdout.close()
             stderr = proc.stderr.read()
         assert (proc.returncode, stderr) == (141, b"")
 
-    # GC-off rests on this: a run leaves the same cyclic garbage (argparse's
-    # parser graph) whatever its bound, so no piece or cache entry makes cycles
+    def test_main_frees_its_parser_with_the_collector_off(self, capsys):
+        with collector_off():
+            main(["verify", "kernel", "--n-max", "2"])
+            parsers = [
+                o for o in gc.get_objects()
+                if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("nodehilb")
+            ]
+        capsys.readouterr()
+        assert parsers == []
+
+    # GC-off rests on this: a run leaves the same cyclic garbage whatever its
+    # bound (main has freed the parser graph; what is left is the closures of
+    # the json encoder), so no piece or cache entry makes cycles
     @pytest.mark.parametrize(
         "suite, flag, small, large",
         [("node", "--n-max", 2, 8), ("series", "--order", 4, 16), ("kernel", "--n-max", 2, 6)],
