@@ -19,8 +19,9 @@ output, the argument parser, ``main`` frees in a young-generation pass once
 the arguments are parsed.  ``main(argv)`` otherwise leaves the collector
 alone, so in-process callers keep normal collection.
 
-Every runner computes its results and exit status first, then streams its
-report to stdout as it is encoded, so no command holds its whole output.
+Every runner computes its results and exit status first, then prints its
+report: json streams to stdout as it is encoded, so no json report is held
+whole; plain and csv text is joined and written once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import io
 import json
 import os
 import sys
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import geometry, nodemodule, series, weyl
 
@@ -59,32 +60,20 @@ def _limit(name: str) -> int:
     return DESK_LIMITS[name] * _run_scale()
 
 
-def _emit_lines(lines: Iterable[str]) -> None:
-    """Print ``"\\n".join(lines)`` line by line, then a newline unless it ends in one.
-
-    So an empty report prints one newline, and a final newline is never doubled.
-    """
-    write = sys.stdout.write
-    end = ""  # the last character written
-    for i, line in enumerate(lines):
-        text = f"\n{line}" if i else line
-        write(text)
-        end = text[-1:]
-    if end != "\n":
-        write("\n")
+def _emit(text: str):
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_report(fmt: str, obj: dict, lines: Iterable[str]) -> None:
+def _emit_report(fmt: str, obj: dict, lines: list[str]) -> None:
     """Print a report: ``obj`` for json, else ``lines`` as plain text.
 
-    Both stream to stdout as they are encoded, so the whole text is never
-    held; ``lines`` is read only for plain text, so it can be a generator.
+    json streams to stdout as it is encoded, so its text is never held whole.
     """
     if fmt == "json":
         json.dump(obj, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        _emit_lines(lines)
+        _emit("\n".join(lines))
 
 
 def _status(ok: bool) -> str:
@@ -103,12 +92,12 @@ def _emit_rows(rows: list[list[str]], fmt: str, head: dict) -> None:
     space separated, and csv comma separated after its n.
     """
     if fmt == "csv":
-        _emit_lines(",".join([str(n), *row]) for n, row in enumerate(rows))
+        _emit("\n".join(",".join([str(n), *row]) for n, row in enumerate(rows)))
     else:
         _emit_report(
             fmt,
             {**head, "rows": [{"n": n, "coeffs": row} for n, row in enumerate(rows)]},
-            (" ".join(row) for row in rows),
+            [" ".join(row) for row in rows],
         )
 
 
@@ -197,7 +186,7 @@ def run_kernel(args) -> int:
     _emit_report(
         args.format,
         {"name": "kernel", "parameters": {"n": n}, "components": comps},
-        (f"k={c['k']}: " + ("; ".join(c["kernel"]) or "0") for c in comps),
+        [f"k={c['k']}: " + ("; ".join(c["kernel"]) or "0") for c in comps],
     )
     return 0
 
@@ -222,12 +211,6 @@ def run_paving(args) -> int:
             file=sys.stderr,
         )
     census = [str(v) for v in enumerated]
-
-    def plain():
-        for c in cells:
-            yield f"a={c.a} b={c.b} c={c.c} d={c.d} dim={c.dim}"
-        yield "census: " + " ".join(census)
-
     _emit_report(
         args.format,
         {
@@ -236,7 +219,10 @@ def run_paving(args) -> int:
             "cells": [{"a": c.a, "b": c.b, "c": c.c, "d": c.d, "dim": c.dim} for c in cells],
             "census": census,
         },
-        plain(),
+        [
+            *(f"a={c.a} b={c.b} c={c.c} d={c.d} dim={c.dim}" for c in cells),
+            "census: " + " ".join(census),
+        ],
     )
     return 0 if ok else 1
 
@@ -392,13 +378,14 @@ def run_verify(args) -> int:
         for s, bound in runs
     ]
     status = _status(_all_pass(reports))
-
-    def plain():
-        for r in reports:
-            yield f"{r['status'].upper()}: {r['name']} {json.dumps(r['parameters'])}"
-        yield f"overall: {status.upper()}"
-
-    _emit_report(args.format, {"name": f"verify-{target}", "status": status, "reports": reports}, plain())
+    _emit_report(
+        args.format,
+        {"name": f"verify-{target}", "status": status, "reports": reports},
+        [
+            *(f"{r['status'].upper()}: {r['name']} {json.dumps(r['parameters'])}" for r in reports),
+            f"overall: {status.upper()}",
+        ],
+    )
     return 0 if status == "pass" else 1
 
 
